@@ -111,17 +111,20 @@ void PrintHeader(const std::string& title) {
 
 BenchReport::BenchReport(std::string tag) : tag_(std::move(tag)) {}
 
-BenchTiming BenchReport::Run(const std::string& name, int reps, int64_t macs_per_rep,
-                             const std::function<void()>& fn) {
-  reps = std::max(reps, 1);
-  fn();  // warmup: page in weights, grow arenas, prime caches
-  std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
+namespace {
+
+// Appends `count` timed runs of `fn` to `samples`.
+void TimeReps(const std::function<void()>& fn, int count, std::vector<double>* samples) {
+  for (int i = 0; i < count; ++i) {
     Stopwatch timer;
     fn();
-    samples.push_back(timer.ElapsedMs());
+    samples->push_back(timer.ElapsedMs());
   }
+}
+
+BenchTiming Summarize(const std::string& name, std::vector<double> samples,
+                      int64_t macs_per_rep) {
+  const int reps = static_cast<int>(samples.size());
   std::sort(samples.begin(), samples.end());
   BenchTiming timing;
   timing.name = name;
@@ -134,8 +137,39 @@ BenchTiming BenchReport::Run(const std::string& name, int reps, int64_t macs_per
   if (macs_per_rep > 0 && timing.median_ms > 0.0) {
     timing.gmacs = static_cast<double>(macs_per_rep) / (timing.median_ms * 1e6);
   }
+  return timing;
+}
+
+}  // namespace
+
+BenchTiming BenchReport::Run(const std::string& name, int reps, int64_t macs_per_rep,
+                             const std::function<void()>& fn) {
+  reps = std::max(reps, 1);
+  fn();  // warmup: page in weights, grow arenas, prime caches
+  std::vector<double> samples;
+  samples.reserve(static_cast<size_t>(reps));
+  TimeReps(fn, reps, &samples);
+  BenchTiming timing = Summarize(name, std::move(samples), macs_per_rep);
   Record(timing);
   return timing;
+}
+
+void BenchReport::RunInterleaved(const std::string& name_a, const std::function<void()>& fn_a,
+                                 const std::string& name_b, const std::function<void()>& fn_b,
+                                 int reps, int block, int64_t macs_per_rep) {
+  reps = std::max(reps, 1);
+  block = std::max(block, 1);
+  fn_a();  // warmup, as in Run
+  fn_b();
+  std::vector<double> samples_a;
+  std::vector<double> samples_b;
+  for (int done = 0; done < reps; done += block) {
+    const int count = std::min(block, reps - done);
+    TimeReps(fn_a, count, &samples_a);
+    TimeReps(fn_b, count, &samples_b);
+  }
+  Record(Summarize(name_a, std::move(samples_a), macs_per_rep));
+  Record(Summarize(name_b, std::move(samples_b), macs_per_rep));
 }
 
 void BenchReport::Record(BenchTiming timing) {

@@ -82,6 +82,14 @@ class BenchReport {
   BenchTiming Run(const std::string& name, int reps, int64_t macs_per_rep,
                   const std::function<void()>& fn);
 
+  // Interleaved A/B for gated pairs: warms both, then alternates blocks of
+  // `block` timed reps of A and of B (ABAB...) until each side has `reps`
+  // samples, so drift in the host's state lands on both rows alike instead
+  // of on whichever ran second. Records A then B, as Run would.
+  void RunInterleaved(const std::string& name_a, const std::function<void()>& fn_a,
+                      const std::string& name_b, const std::function<void()>& fn_b,
+                      int reps, int block, int64_t macs_per_rep);
+
   // Records an externally measured timing (e.g. fig15's render medians).
   void Record(BenchTiming timing);
 

@@ -7,8 +7,10 @@
 // the quantization multiplier across PRs.
 //
 // Self-timed via bench_common's BenchReport: every kernel runs a warmup
-// plus N repetitions and reports median + min; all results are written to
-// BENCH_micro_kernels.json for cross-PR perf tracking.
+// plus N repetitions and reports median + min; the pairs CI gates on run as
+// interleaved ABAB blocks. All results are written to
+// BENCH_micro_kernels.json for cross-PR perf tracking. Kernel-plan A/B rows
+// pin plans per layer with Conv2D::SetKernelPlan.
 //
 // Usage: micro_kernels [--filter=substring] [--reps-scale=X]
 //   --filter      only run benches whose name contains the substring
@@ -16,7 +18,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/base/rng.h"
@@ -30,6 +34,7 @@
 #include "src/nn/conv.h"
 #include "src/nn/fire.h"
 #include "src/nn/gemm.h"
+#include "src/nn/network.h"
 #include "src/nn/serialize.h"
 #include "src/webgen/ad_network.h"
 #include "src/webgen/adgen.h"
@@ -54,6 +59,60 @@ struct Options {
   double reps_scale = 1.0;
 };
 
+// The convs a layer owns: itself, or the three inside a fire module.
+std::vector<Conv2D*> ConvsOf(Layer& layer) {
+  if (auto* conv = dynamic_cast<Conv2D*>(&layer)) {
+    return {conv};
+  }
+  if (auto* fire = dynamic_cast<FireModule*>(&layer)) {
+    return {&fire->squeeze(), &fire->expand1x1(), &fire->expand3x3()};
+  }
+  return {};
+}
+
+// Per-layer plan pins for the A/B rows. Each edits the plan the layer
+// already holds, so call them after PlanKernels / PlanForward: the other
+// plan field keeps the heuristic's choice, and the pin survives re-plans.
+void PinPanelWidth(Layer& layer, int width) {
+  for (Conv2D* conv : ConvsOf(layer)) {
+    KernelPlan plan = conv->plan();
+    plan.panel_width = width;
+    conv->SetKernelPlan(plan);
+  }
+}
+
+// Gather pins touch only multi-tap convs: a 1x1 never gathers.
+void PinGather(Layer& layer, GatherPolicy gather) {
+  for (Conv2D* conv : ConvsOf(layer)) {
+    if (conv->kernel() > 1) {
+      KernelPlan plan = conv->plan();
+      plan.gather = gather;
+      conv->SetKernelPlan(plan);
+    }
+  }
+}
+
+void PinGather(Network& net, GatherPolicy gather) {
+  for (size_t i = 0; i < net.LayerCount(); ++i) {
+    PinGather(net.layer(i), gather);
+  }
+}
+
+// An int8 eval experiment-profile network planned for its input shape,
+// optionally with every multi-tap conv pinned to `gather`.
+Network PlannedInt8ExperimentNet(std::optional<GatherPolicy> gather) {
+  const PercivalNetConfig config = ExperimentProfile();
+  Network net = BuildPercivalNet(config);
+  net.SetTrainingMode(false);
+  net.SetPrecision(Precision::kInt8);
+  net.PlanForward(config.InputShape());
+  if (gather.has_value()) {
+    PinGather(net, *gather);
+    net.PlanForward(config.InputShape());  // re-reserve scratch for the pins
+  }
+  return net;
+}
+
 void RunSuite(const Options& options) {
   BenchReport report("micro_kernels");
   auto bench = [&](const std::string& name, int reps, int64_t macs_per_rep,
@@ -63,6 +122,17 @@ void RunSuite(const Options& options) {
     }
     reps = std::max(1, static_cast<int>(reps * options.reps_scale));
     report.Run(name, reps, macs_per_rep, fn);
+  };
+  // CI-gated pairs: many short reps in interleaved blocks of 10.
+  auto bench_pair = [&](const std::string& name_a, const std::function<void()>& fn_a,
+                        const std::string& name_b, const std::function<void()>& fn_b,
+                        int reps, int64_t macs_per_rep) {
+    if (!options.filter.empty() && name_a.find(options.filter) == std::string::npos &&
+        name_b.find(options.filter) == std::string::npos) {
+      return;
+    }
+    reps = std::max(1, static_cast<int>(reps * options.reps_scale));
+    report.RunInterleaved(name_a, fn_a, name_b, fn_b, reps, 10, macs_per_rep);
   };
 
   // The conv A/B/C quartet behind the acceptance line: identical layer and
@@ -169,7 +239,6 @@ void RunSuite(const Options& options) {
     }
     for (const NarrowFire& cfg : shapes) {
       for (const int width : widths) {
-        SetPlannerPanelOverride(width);
         Rng rng(1);
         FireModule fire(cfg.in, cfg.squeeze, cfg.expand, rng);
         // Deployment configuration: eval mode, like the classifier runs it
@@ -178,7 +247,7 @@ void RunSuite(const Options& options) {
         fire.SetTrainingMode(false);
         const TensorShape shape{1, 32, 32, cfg.in};
         fire.PlanKernels(shape);
-        SetPlannerPanelOverride(0);
+        PinPanelWidth(fire, width);
         Tensor input = RandomTensor(shape, 2);
         const int64_t macs = fire.ForwardMacs(shape);
         const std::string name =
@@ -191,50 +260,33 @@ void RunSuite(const Options& options) {
     }
   }
 
-  // Layout experiment (ROADMAP): the identical 3x3 conv pinned to each
-  // activation layout, float and int8. kh-kw-c has won on every host
-  // measured — its per-tap contiguous gather beats the channel-strided
-  // c-outer one — which is why the planner's default stays put; these rows
-  // keep the experiment honest on new hosts.
-  for (const bool c_outer : {false, true}) {
-    Rng rng(1);
-    Conv2D conv(16, 32, 3, 1, 1, rng);
-    KernelPlan plan = conv.plan();
-    plan.layout = c_outer ? ActivationLayout::kCOuter : ActivationLayout::kKhKwC;
-    conv.SetKernelPlan(plan);
-    Tensor input = RandomTensor(TensorShape{1, 32, 32, 16}, 2);
-    const int64_t macs = conv.ForwardMacs(input.shape());
-    const std::string name =
-        std::string("conv3x3_layout_") + (c_outer ? "couter" : "khkwc");
-    bench(name + "_simd_32", 40, macs, [&] { g_sink += conv.Forward(input)[0]; });
-    conv.SetPrecision(Precision::kInt8);
-    bench(name + "_int8_32", 40, macs, [&] { g_sink += conv.Forward(input)[0]; });
-    conv.SetPrecision(Precision::kFloat32);
-  }
-
   // Gather experiment (ROADMAP item 1): the identical 3x3 conv pinned to
   // the materialized im2col panel vs the implicit in-place stream, float
   // and int8, across the deployment channel counts. Interior columns
   // dominate at 32x32, so these rows measure exactly what the planner's
   // implicit default buys; CI asserts implicit >= materialized on the
-  // int8 rows (tools/check_bench.py).
+  // int8 rows, so each pair runs interleaved.
   for (const int ch : {16, 32, 64}) {
-    for (const bool implicit : {false, true}) {
-      Rng rng(1);
-      Conv2D conv(ch, ch, 3, 1, 1, rng);
-      conv.SetTrainingMode(false);
-      KernelPlan plan = conv.plan();
-      plan.gather = implicit ? GatherPolicy::kImplicit : GatherPolicy::kMaterialize;
-      conv.SetKernelPlan(plan);
-      Tensor input = RandomTensor(TensorShape{1, 32, 32, ch}, 2);
-      const int64_t macs = conv.ForwardMacs(input.shape());
-      const std::string name = std::string("conv3x3_gather_") +
-                               (implicit ? "implicit" : "materialized") + "_c" +
-                               std::to_string(ch);
-      bench(name + "_simd_32", 40, macs, [&] { g_sink += conv.Forward(input)[0]; });
-      conv.SetPrecision(Precision::kInt8);
-      bench(name + "_int8_32", 40, macs, [&] { g_sink += conv.Forward(input)[0]; });
-      conv.SetPrecision(Precision::kFloat32);
+    Rng rng_mat(1);
+    Rng rng_impl(1);
+    Conv2D mat(ch, ch, 3, 1, 1, rng_mat);
+    Conv2D impl(ch, ch, 3, 1, 1, rng_impl);
+    mat.SetTrainingMode(false);
+    impl.SetTrainingMode(false);
+    PinGather(mat, GatherPolicy::kMaterialize);
+    PinGather(impl, GatherPolicy::kImplicit);
+    Tensor input = RandomTensor(TensorShape{1, 32, 32, ch}, 2);
+    const int64_t macs = mat.ForwardMacs(input.shape());
+    const std::string suffix = "_c" + std::to_string(ch);
+    for (const Precision precision : {Precision::kFloat32, Precision::kInt8}) {
+      mat.SetPrecision(precision);
+      impl.SetPrecision(precision);
+      const std::string tail = precision == Precision::kInt8 ? "_int8_32" : "_simd_32";
+      bench_pair(
+          "conv3x3_gather_materialized" + suffix + tail,
+          [&] { g_sink += mat.Forward(input)[0]; },
+          "conv3x3_gather_implicit" + suffix + tail, [&] { g_sink += impl.Forward(input)[0]; },
+          200, macs);
     }
   }
 
@@ -243,14 +295,12 @@ void RunSuite(const Options& options) {
   // shows the module-level (not kernel-level) win at the shapes the
   // classifier actually runs.
   for (const bool implicit : {false, true}) {
-    SetPlannerGatherPolicy(implicit ? GatherPolicyMode::kForceImplicit
-                                    : GatherPolicyMode::kForceMaterialize);
     Rng rng(1);
     FireModule fire(32, 8, 32, rng);
     fire.SetTrainingMode(false);
     const TensorShape shape{1, 32, 32, 32};
     fire.PlanKernels(shape);
-    SetPlannerGatherPolicy(GatherPolicyMode::kAuto);
+    PinGather(fire, implicit ? GatherPolicy::kImplicit : GatherPolicy::kMaterialize);
     Tensor input = RandomTensor(shape, 2);
     const int64_t macs = fire.ForwardMacs(shape);
     const std::string name =
@@ -263,8 +313,8 @@ void RunSuite(const Options& options) {
 
   // The planner's per-layer decisions for the experiment deployment profile
   // (int8 eval — the browser configuration) ride the same JSON so the
-  // layout/panel experiment is measured, not guessed: median_ms carries the
-  // chosen panel width, min_ms is 1 when the layer chose c-outer.
+  // panel/gather choices are recorded, not guessed: median_ms (and min_ms)
+  // carry the chosen panel width, or 1 when the layer streams implicitly.
   if (options.filter.empty()) {
     PercivalNetConfig config = ExperimentProfile();
     Network net = BuildPercivalNet(config);
@@ -277,7 +327,7 @@ void RunSuite(const Options& options) {
       t.reps = 1;
       t.name = "plan_" + row.layer + "_panel_width";
       t.median_ms = row.panel_width;
-      t.min_ms = row.c_outer ? 1 : 0;
+      t.min_ms = t.median_ms;
       report.Record(t);
       t.name = "plan_" + row.layer + "_implicit";
       t.median_ms = row.implicit ? 1 : 0;
@@ -297,24 +347,21 @@ void RunSuite(const Options& options) {
     net.SetTrainingMode(false);
     bench("percival_forward_experiment_eval", 20, macs,
           [&] { g_sink += net.Forward(input)[0]; });
-    net.SetPrecision(Precision::kInt8);
-    bench("percival_forward_experiment_int8", 20, macs,
-          [&] { g_sink += net.Forward(input)[0]; });
-    // Whole-profile gather A/B: every multi-tap conv re-planned to each
-    // gather, same int8 eval network. The _int8 row above is the planner's
-    // own (implicit) choice; _int8_materialized is the pre-implicit
-    // baseline CI compares it against.
-    SetPlannerGatherPolicy(GatherPolicyMode::kForceMaterialize);
-    net.PlanForward(input.shape());
-    bench("percival_forward_experiment_int8_materialized", 20, macs,
-          [&] { g_sink += net.Forward(input)[0]; });
-    SetPlannerGatherPolicy(GatherPolicyMode::kForceImplicit);
-    net.PlanForward(input.shape());
-    bench("percival_forward_experiment_int8_implicit", 20, macs,
-          [&] { g_sink += net.Forward(input)[0]; });
-    SetPlannerGatherPolicy(GatherPolicyMode::kAuto);
-    net.PlanForward(input.shape());
-    net.SetPrecision(Precision::kFloat32);
+    // Whole-profile gather A/B on identical int8 eval networks (same init
+    // seed, same weights): the _int8 row is the planner's own mixed plan,
+    // _int8_materialized the pre-implicit baseline CI gates it against
+    // (interleaved), _int8_implicit every multi-tap conv pinned implicit.
+    {
+      Network auto_net = PlannedInt8ExperimentNet(std::nullopt);
+      Network mat_net = PlannedInt8ExperimentNet(GatherPolicy::kMaterialize);
+      bench_pair(
+          "percival_forward_experiment_int8", [&] { g_sink += auto_net.Forward(input)[0]; },
+          "percival_forward_experiment_int8_materialized",
+          [&] { g_sink += mat_net.Forward(input)[0]; }, 200, macs);
+      Network impl_net = PlannedInt8ExperimentNet(GatherPolicy::kImplicit);
+      bench("percival_forward_experiment_int8_implicit", 20, macs,
+            [&] { g_sink += impl_net.Forward(input)[0]; });
+    }
     net.SetTrainingMode(true);
     ScopedInferencePool pool;
     bench("percival_forward_experiment_threaded", 20, macs,
@@ -323,10 +370,12 @@ void RunSuite(const Options& options) {
 
   {
     // Zero-float dataflow A/B: the same calibrated int8 eval network and
-    // pre-quantized input codes, with the requantize-in-epilogue plan off
-    // (float-staged activations + separate QuantizeActivations sweeps)
-    // versus on (u8 codes flow conv-to-conv, no float activation tensor).
-    // The logits are bit-identical; only the dataflow differs.
+    // pre-quantized input codes, run as the float-staged layer walk (the
+    // first conv consumes the codes, every later layer its float Forward,
+    // with separate QuantizeActivations sweeps) versus the planned forward
+    // (u8 codes flow conv-to-conv, no float activation tensor). The logits
+    // are bit-identical; only the dataflow differs. CI gates the pair, so
+    // it runs interleaved.
     PercivalNetConfig config = ExperimentProfile();
     Network net = BuildPercivalNet(config);
     net.SetTrainingMode(false);
@@ -346,12 +395,17 @@ void RunSuite(const Options& options) {
     const QuantizedTensorView view{codes.data(), input.shape(), quant.scale,
                                    quant.zero_point};
 
-    SetDataflowRequantEnabled(false);
-    bench("percival_forward_experiment_int8_staged", 20, macs,
-          [&] { g_sink += net.ForwardQuantized(view)[0]; });
-    SetDataflowRequantEnabled(true);
-    bench("percival_forward_experiment_int8_zerofloat", 20, macs,
-          [&] { g_sink += net.ForwardQuantized(view)[0]; });
+    net.PlanForward(view.shape);
+    const auto staged = [&] {
+      Tensor current = net.layer(0).ForwardQuantized(view);
+      for (size_t i = 1; i < net.LayerCount(); ++i) {
+        current = net.layer(i).Forward(current);
+      }
+      g_sink += current[0];
+    };
+    bench_pair("percival_forward_experiment_int8_staged", staged,
+               "percival_forward_experiment_int8_zerofloat",
+               [&] { g_sink += net.ForwardQuantized(view)[0]; }, 200, macs);
   }
 
   {

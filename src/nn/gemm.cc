@@ -19,13 +19,7 @@ namespace percival {
 namespace {
 
 std::atomic<ThreadPool*> g_inference_pool{nullptr};
-std::atomic<bool> g_gemm_default{true};
 std::atomic<bool> g_force_scalar{false};
-std::atomic<int> g_planner_panel_override{0};
-std::atomic<LayoutPolicy> g_planner_layout_policy{LayoutPolicy::kAuto};
-std::atomic<GatherPolicyMode> g_planner_gather_policy{GatherPolicyMode::kAuto};
-std::atomic<bool> g_dataflow_requant{true};
-std::atomic<GapCodesMode> g_gap_codes_mode{GapCodesMode::kAuto};
 
 // Gather/scratch traffic counters (see GemmGatherStats). Relaxed: these are
 // statistics, not synchronization.
@@ -253,9 +247,6 @@ bool ValidPanelWidth(int width) {
 void SetInferenceThreadPool(ThreadPool* pool) { g_inference_pool.store(pool); }
 ThreadPool* InferenceThreadPool() { return g_inference_pool.load(); }
 
-void SetGemmEnabledByDefault(bool enabled) { g_gemm_default.store(enabled); }
-bool GemmEnabledByDefault() { return g_gemm_default.load(); }
-
 void SetGemmForceScalar(bool force) { g_force_scalar.store(force); }
 bool GemmForceScalar() { return g_force_scalar.load(); }
 
@@ -306,91 +297,32 @@ ScopedInferencePool::~ScopedInferencePool() { SetInferenceThreadPool(previous_);
 
 // ------------------------------------------------------------- planner --
 
-const char* LayoutName(ActivationLayout layout) {
-  return layout == ActivationLayout::kCOuter ? "c-outer" : "kh-kw-c";
-}
-
-const char* GatherPolicyName(GatherPolicy policy) {
-  return policy == GatherPolicy::kImplicit ? "implicit" : "materialize";
-}
-
-void SetPlannerPanelOverride(int width) {
-  PCHECK(width == 0 || ValidPanelWidth(width))
-      << "panel override " << width << " is not a width this build's kernels implement";
-  g_planner_panel_override.store(width);
-}
-
-int PlannerPanelOverride() { return g_planner_panel_override.load(); }
-
-void SetPlannerLayoutPolicy(LayoutPolicy policy) { g_planner_layout_policy.store(policy); }
-
-LayoutPolicy PlannerLayoutPolicy() { return g_planner_layout_policy.load(); }
-
-void SetPlannerGatherPolicy(GatherPolicyMode mode) { g_planner_gather_policy.store(mode); }
-
-GatherPolicyMode PlannerGatherPolicy() { return g_planner_gather_policy.load(); }
-
-void SetDataflowRequantEnabled(bool enabled) { g_dataflow_requant.store(enabled); }
-
-bool DataflowRequantEnabled() { return g_dataflow_requant.load(); }
-
-void SetGapCodesMode(GapCodesMode mode) { g_gap_codes_mode.store(mode); }
-
-GapCodesMode GetGapCodesMode() { return g_gap_codes_mode.load(); }
-
-void SetGapCodesEnabled(bool enabled) {
-  SetGapCodesMode(enabled ? GapCodesMode::kForceOn : GapCodesMode::kForceOff);
-}
-
-bool GapCodesEnabled() { return GetGapCodesMode() == GapCodesMode::kForceOn; }
-
 KernelPlan ChooseConvKernelPlan(int out_channels, int kernel, int stride, int pad,
                                 int in_width) {
   KernelPlan plan;  // panel_width defaults to the active tier's native width
-  const int override_width = PlannerPanelOverride();
-  if (override_width != 0) {
-    plan.panel_width = override_width;
-  } else if (plan.panel_width > kGemmTileNMin && out_channels <= kGemmTileNMin) {
+  if (plan.panel_width > kGemmTileNMin && out_channels <= kGemmTileNMin) {
     // A <=16-channel layer fills at most half the native 32-wide panel;
     // the 16-wide sub-tile halves the per-K-step panel loads and FMAs.
     plan.panel_width = kGemmTileNMin;
   }
-  const LayoutPolicy policy = PlannerLayoutPolicy();
   if (kernel > 1) {
-    if (policy == LayoutPolicy::kForceCOuter) {
-      plan.layout = ActivationLayout::kCOuter;
-    } else if (policy == LayoutPolicy::kAuto) {
-      // Measured default: kh-kw-c. The c-outer gather trades the per-tap
-      // contiguous memcpy for channel-strided scalar loads, which loses on
-      // NHWC inputs at every channel count tried (see the
-      // conv3x3_layout_* rows in BENCH_micro_kernels.json).
-      plan.layout = ActivationLayout::kKhKwC;
+    // Implicit pays off when the interior run — the output columns that
+    // see all kw taps in bounds — is at least one full column tile wide
+    // on every tier (the 16-wide sub-panel kernels tile 8 columns).
+    // Shorter runs stream mostly through the per-row edge/remainder
+    // paths, where the materialized m = out_h*out_w GEMM wins (measured:
+    // the experiment profile's 8x8 and 4x4 fire stages). in_width 0 =
+    // unknown shape: assume a wide interior (the forward re-checks the
+    // interior per input and falls back when it is empty).
+    bool wide_interior = true;
+    if (in_width > 0) {
+      const int out_w = (in_width - kernel + 2 * pad) / stride + 1;
+      const int ow_lo = (pad + stride - 1) / stride;
+      const int ow_hi = std::min(out_w, (in_width - kernel + pad) / stride + 1);
+      wide_interior = out_w > 0 && ow_hi - ow_lo >= kImplicitMinInteriorRun;
     }
-  }
-  if (kernel > 1) {
-    const GatherPolicyMode gather_mode = PlannerGatherPolicy();
-    if (gather_mode == GatherPolicyMode::kForceImplicit) {
+    if (wide_interior) {
       plan.gather = GatherPolicy::kImplicit;
-    } else if (gather_mode == GatherPolicyMode::kAuto &&
-               plan.layout == ActivationLayout::kKhKwC) {
-      // Implicit pays off when the interior run — the output columns that
-      // see all kw taps in bounds — is at least one full column tile wide
-      // on every tier (the 16-wide sub-panel kernels tile 8 columns).
-      // Shorter runs stream mostly through the per-row edge/remainder
-      // paths, where the materialized m = out_h*out_w GEMM wins (measured:
-      // the experiment profile's 8x8 and 4x4 fire stages). in_width 0 =
-      // unknown shape: assume a wide interior (the forward re-checks the
-      // interior per input and falls back when it is empty).
-      bool wide_interior = true;
-      if (in_width > 0) {
-        const int out_w = (in_width - kernel + 2 * pad) / stride + 1;
-        const int ow_lo = (pad + stride - 1) / stride;
-        const int ow_hi = std::min(out_w, (in_width - kernel + pad) / stride + 1);
-        wide_interior = out_w > 0 && ow_hi - ow_lo >= kImplicitMinInteriorRun;
-      }
-      if (wide_interior) {
-        plan.gather = GatherPolicy::kImplicit;
-      }
     }
   }
   return plan;

@@ -135,12 +135,6 @@ class ScopedInferencePool {
   ThreadPool* previous_ = nullptr;
 };
 
-// Default forward implementation for newly constructed Conv2D layers:
-// true = GEMM engine, false = naive per-channel dot products (the oracle
-// path the parity tests compare against).
-void SetGemmEnabledByDefault(bool enabled);
-bool GemmEnabledByDefault();
-
 // When true, the kernel entry points route to the always-compiled scalar
 // micro-kernel instead of the active tier's intrinsic one, so a single
 // binary can exercise (and benchmark) both paths. The scalar oracle runs at
@@ -170,27 +164,18 @@ void LogSimdPathOnce();
 //
 // Per-layer kernel decisions. Every hot-path component consumes a
 // KernelPlan instead of a hard-coded choice: the GEMM pack + micro-kernels
-// honor the panel width, the im2col gathers and the weight packers honor
-// the activation layout, and Conv2D keys its pack caches on (weight
-// version, plan) so a plan flip repacks exactly once. Plans are chosen at
-// Network::PlanForward time from layer shape + the runtime-active SIMD tier
-// (see ChooseConvKernelPlan), and can be pinned globally for A/B
-// measurement. A SetSimdTierCap bumps the dispatch generation, which makes
-// Network re-plan (and layers repack) under the new tier's width and clamp.
-
-// K-order of an im2col patch row (and of the matching packed filter rows).
-//   * kKhKwC — (kh, kw, c): each kernel tap contributes `channels`
-//     contiguous floats, the layout NHWC gathers produce naturally.
-//   * kCOuter — (c, kh, kw): channel-outer, so a 1x1-dominated network's
-//     rare 3x3 layers see each channel's kernel window as one contiguous
-//     run. The GEMM is K-order-agnostic (A rows and B rows just have to
-//     agree); only the gather and the weight packer change.
-enum class ActivationLayout : uint8_t {
-  kKhKwC = 0,
-  kCOuter = 1,
-};
-
-const char* LayoutName(ActivationLayout layout);
+// honor the panel width, the conv forward honors the gather policy, and
+// Conv2D keys its pack caches on (weight version, plan) so a plan flip
+// repacks exactly once. Plans are a function of layer shape + the
+// runtime-active SIMD tier only (see ChooseConvKernelPlan), chosen at
+// Network::PlanForward time; the one way to pin a plan for an A/B or a
+// parity test is the per-layer Conv2D::SetKernelPlan. A SetSimdTierCap
+// bumps the dispatch generation, which makes Network re-plan (and layers
+// repack) under the new tier's width and clamp.
+//
+// Patch rows (and the matching packed filter rows) are always in (kh, kw, c)
+// K-order: each kernel tap contributes `channels` contiguous elements, the
+// layout NHWC gathers produce naturally.
 
 // How a conv feeds its patch matrix to the GEMM.
 //   * kMaterialize — Im2ColRows gathers every patch row into scratch before
@@ -203,64 +188,37 @@ enum class GatherPolicy : uint8_t {
   kImplicit = 1,
 };
 
-const char* GatherPolicyName(GatherPolicy policy);
-
 // Minimum interior-run width (output columns seeing all kw taps in bounds)
-// for the kAuto planner to pick kImplicit when the input width is known.
-// Equals the widest implicit column tile across tiers (the 16-wide
-// sub-panel kernels tile 8 columns); narrower runs spend most of their
-// time in per-row edge/remainder paths and lose to the materialized
-// whole-image GEMM.
+// for the planner to pick kImplicit when the input width is known. Equals
+// the widest implicit column tile across tiers (the 16-wide sub-panel
+// kernels tile 8 columns); narrower runs spend most of their time in
+// per-row edge/remainder paths and lose to the materialized whole-image
+// GEMM.
 inline constexpr int kImplicitMinInteriorRun = 8;
 
 struct KernelPlan {
-  ActivationLayout layout = ActivationLayout::kKhKwC;
   int panel_width = GemmNativePanelWidth();
   GatherPolicy gather = GatherPolicy::kMaterialize;
 };
 
 inline bool operator==(const KernelPlan& a, const KernelPlan& b) {
-  return a.layout == b.layout && a.panel_width == b.panel_width && a.gather == b.gather;
+  return a.panel_width == b.panel_width && a.gather == b.gather;
 }
 inline bool operator!=(const KernelPlan& a, const KernelPlan& b) { return !(a == b); }
-
-// Global pinning knobs for layout/panel A/B experiments (benches, tests,
-// README "how to pin"). 0 / kAuto restore the heuristic. They affect plans
-// chosen AFTER the call — re-run PlanKernels (or Network::PlanForward) to
-// apply them to existing layers.
-void SetPlannerPanelOverride(int width);  // 0 = auto; else 16 or 32
-int PlannerPanelOverride();
-
-enum class LayoutPolicy : uint8_t { kAuto = 0, kForceKhKwC = 1, kForceCOuter = 2 };
-void SetPlannerLayoutPolicy(LayoutPolicy policy);
-LayoutPolicy PlannerLayoutPolicy();
-
-// Gather-policy pin for materialized-vs-implicit A/B experiments. kAuto is
-// the heuristic in ChooseConvKernelPlan (implicit for a multi-tap kKhKwC
-// conv whose interior run is at least kImplicitMinInteriorRun columns, or of
-// unknown width); the force modes pin the plan field, though a forward still falls
-// back to the materialized gather when implicit preconditions fail (c-outer
-// layout, no interior columns, unaligned int8 K segments).
-enum class GatherPolicyMode : uint8_t { kAuto = 0, kForceMaterialize = 1, kForceImplicit = 2 };
-void SetPlannerGatherPolicy(GatherPolicyMode mode);
-GatherPolicyMode PlannerGatherPolicy();
 
 // The planner heuristic: narrow layers (out_channels <= 16) take the
 // 16-wide sub-tile on builds whose native panel is wider — the wide panel
 // would spend >= half its lanes on zero padding — and everything else keeps
-// the native width. The layout default is kKhKwC: measured on NHWC inputs
-// (see BENCH_micro_kernels.json's conv3x3_layout_* rows), the (kh, kw, c)
-// gather's contiguous per-tap memcpys beat the strided channel-outer
-// gather, so kCOuter stays an explicitly pinned experiment. 1x1 kernels
-// normalize to kKhKwC (the two orders coincide).
+// the native width.
 //
-// The gather policy defaults to kImplicit for every multi-tap kKhKwC conv
-// whose interior (the output columns where all kw taps are in bounds, given
-// stride/pad/in_width) is non-empty: those columns stream straight from the
-// NHWC tensor and only the <= pad edge columns per side still gather. 1x1
-// kernels keep kMaterialize — they already run gather-free via the identity
-// shortcut. `in_width` 0 means "unknown", which assumes a non-degenerate
-// interior (the forward re-checks and falls back per shape).
+// The gather policy is kImplicit for every multi-tap conv whose interior
+// run (the output columns where all kw taps are in bounds, given
+// stride/pad/in_width) is at least kImplicitMinInteriorRun columns: those
+// columns stream straight from the NHWC tensor and only the <= pad edge
+// columns per side still gather. Shorter runs, and every 1x1 kernel (which
+// already runs gather-free via the identity shortcut), keep kMaterialize.
+// `in_width` 0 means "unknown", which assumes a wide interior (the forward
+// re-checks and falls back per shape).
 KernelPlan ChooseConvKernelPlan(int out_channels, int kernel, int stride = 1, int pad = 0,
                                 int in_width = 0);
 
@@ -295,7 +253,7 @@ void GemmPackedNT(int64_t m, int n, int k, const float* a, const float* packed_b
 // ------------------------------------------------ implicit-GEMM conv view --
 //
 // The implicit path replaces the materialized im2col A matrix with a
-// streaming view of one NHWC sample: a (kKhKwC-ordered) patch row for
+// streaming view of one NHWC sample: a (kh, kw, c)-ordered patch row for
 // output pixel (oh, ow) is `segments` chunks of `seg_len` contiguous
 // elements — one per vertical kernel tap — and chunk s of the INTERIOR
 // columns (the ones where every horizontal tap is in bounds) lives at
@@ -474,39 +432,6 @@ void GemmInt8PackedImplicitU8(const ImplicitConvViewU8& view, const Int8PackedFi
                               const ActivationQuant& quant, const float* bias,
                               GemmEpilogue epilogue, const ActivationQuant& out_quant,
                               uint8_t* c, int64_t ldc);
-
-// Master switch for the zero-float dataflow plan. When true (the default),
-// Network::PlanForward links adjacent calibrated int8 convs with the
-// requantize-in-epilogue store above; false restores the float-staged
-// dataflow everywhere (A/B benches, fallback). Takes effect at the next
-// PlanForward.
-void SetDataflowRequantEnabled(bool enabled);
-bool DataflowRequantEnabled();
-
-// Extension of the code domain one layer further: GlobalAvgPool accepts
-// quantized input from a calibrated int8 producer and averages the uint8
-// codes with int32 accumulation, dequantizing only the per-channel sums —
-// so the final conv's requantized store feeds pooling without a float
-// activation tensor in between. Logits are no longer bit-identical to the
-// staged path (the average is computed in code space), so the link is
-// guarded by its own 64-image >= 99% top-1 agreement test
-// (tests/nn_requant_test.cc).
-//
-// kAuto (the default) enables the link exactly when a PCVW v2 calibration
-// trailer supplied the GAP slot — i.e. for deployment artifacts whose
-// ranges were measured offline, the population the accuracy guard vets —
-// and leaves it off for ranges captured live in this process. kForceOff is
-// the old default-off behavior (the opt-out); kForceOn links any calibrated
-// GAP regardless of where the range came from. Takes effect at the next
-// PlanForward.
-enum class GapCodesMode : uint8_t { kAuto = 0, kForceOn = 1, kForceOff = 2 };
-void SetGapCodesMode(GapCodesMode mode);
-GapCodesMode GetGapCodesMode();
-
-// Bool compatibility wrappers: SetGapCodesEnabled maps true/false to
-// kForceOn/kForceOff; GapCodesEnabled reports whether the mode is kForceOn.
-void SetGapCodesEnabled(bool enabled);
-bool GapCodesEnabled();
 
 // Convenience one-shot GEMM: packs `b` (row-major [N x K]) into the local
 // arena and multiplies. When `pool` is non-null and the problem is large

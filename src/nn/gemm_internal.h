@@ -339,7 +339,7 @@ inline int32_t LoadKGroup(const uint8_t* p) {
 // ImplicitConvView in gemm.h): the K loop runs per vertical tap segment
 // with the accumulators carried across segments, which reproduces the
 // materialized path's per-row accumulation order exactly (the packed panel
-// and the patch row walk K in the same kKhKwC order). Float pad taps are
+// and the patch row walk K in the same (kh, kw, c) order). Float pad taps are
 // skipped — a materialized gather would multiply explicit zeros there —
 // and u8 pad taps read the view's zero row, byte-identical to the pad
 // codes Im2ColRowsU8 writes. Like the other scalar tiles, these are both

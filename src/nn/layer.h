@@ -63,7 +63,6 @@ struct ActivationCalibration {
 struct KernelPlanRow {
   std::string layer;
   int panel_width = 0;
-  bool c_outer = false;
   bool implicit = false;  // plan streams activations in place (no im2col)
   bool int8 = false;
   bool u8_direct = false;  // layer would accept a pre-quantized u8 input

@@ -17,8 +17,6 @@ Tensor Network::Forward(const Tensor& input) {
   // degrade ladder) — the sleep is in the spec, armed by tests/benches.
   faultpoint::ShouldFire(faultpoint::kSlowForward);
   if (!planned_ || !(planned_shape_ == input.shape()) ||
-      dataflow_enabled_at_plan_ != DataflowRequantEnabled() ||
-      gap_codes_at_plan_ != GetGapCodesMode() ||
       dispatch_generation_at_plan_ != SimdDispatchGeneration()) {
     PlanForward(input.shape());
   }
@@ -49,10 +47,7 @@ void Network::PlanForward(const TensorShape& input) {
 
 void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
   dataflow_.assign(layers_.size(), DataflowStep{});
-  dataflow_enabled_at_plan_ = DataflowRequantEnabled();
-  gap_codes_at_plan_ = GetGapCodesMode();
-  const bool eligible = precision_ == Precision::kInt8 && !training_ &&
-                        !calibration_capture_ && dataflow_enabled_at_plan_;
+  const bool eligible = precision_ == Precision::kInt8 && !training_ && !calibration_capture_;
   if (!eligible) {
     return;
   }
@@ -185,8 +180,6 @@ Tensor Network::ForwardQuantized(const QuantizedTensorView& input) {
   PCHECK(layers_[0]->AcceptsQuantizedInput())
       << "first layer (" << layers_[0]->Name() << ") cannot consume quantized input";
   if (!planned_ || !(planned_shape_ == input.shape) ||
-      dataflow_enabled_at_plan_ != DataflowRequantEnabled() ||
-      gap_codes_at_plan_ != GetGapCodesMode() ||
       dispatch_generation_at_plan_ != SimdDispatchGeneration()) {
     PlanForward(input.shape);
   }
@@ -215,14 +208,10 @@ std::vector<KernelPlanRow> Network::CollectKernelPlanRows() const {
 std::string Network::KernelPlanSummary() const {
   const std::vector<KernelPlanRow> rows = CollectKernelPlanRows();
   int narrow = 0;
-  int c_outer = 0;
   int implicit = 0;
   for (const KernelPlanRow& row : rows) {
     if (row.panel_width < GemmNativePanelWidth()) {
       ++narrow;
-    }
-    if (row.c_outer) {
-      ++c_outer;
     }
     if (row.implicit) {
       ++implicit;
@@ -230,7 +219,7 @@ std::string Network::KernelPlanSummary() const {
   }
   std::ostringstream out;
   out << "planner: " << rows.size() << " convs, " << narrow << " narrow-panel(16), "
-      << c_outer << " c-outer, " << implicit << " implicit-gather"
+      << implicit << " implicit-gather"
       << (AcceptsQuantizedInput() ? ", u8-direct input" : "");
   return out.str();
 }

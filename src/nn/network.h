@@ -47,7 +47,7 @@ class Network {
   bool AcceptsQuantizedInput() const;
 
   // Walks the layers once: each layer picks its kernel plan (panel width /
-  // activation layout — see Conv2D::PlanKernels) for its actual input
+  // gather policy — see Conv2D::PlanKernels) for its actual input
   // shape, then the worst-case per-layer scratch requirement is computed
   // and the *calling thread's* arena reserved up front — so the next
   // Forward() on this thread performs zero arena growth, including the very
@@ -62,16 +62,19 @@ class Network {
   std::string KernelPlanSummary() const;
 
   // Zero-float dataflow plan, chosen by PlanForward alongside the kernel
-  // plans. In int8 eval mode (outside calibration capture, and with the
-  // global SetDataflowRequantEnabled knob on) the planner links each
-  // code-emitting layer to its downstream consumer: when the layers between
-  // them are all code transforms (eval ReLU / MaxPool) and the consumer
-  // both accepts quantized input and carries a calibrated input range, the
-  // emitter's GEMM epilogue requantizes straight to the consumer's uint8
-  // codes and the chain runs through network-owned ping-pong code buffers —
-  // no float activation tensor and no per-forward heap allocation between
-  // the linked layers. Layers outside a link run the float path unchanged,
-  // so uncalibrated models behave exactly as before.
+  // plans. In int8 eval mode (outside calibration capture) the planner
+  // links each code-emitting layer to its downstream consumer: when the
+  // layers between them are all code transforms (eval ReLU / MaxPool) and
+  // the consumer both accepts quantized input and carries a calibrated
+  // input range, the emitter's GEMM epilogue requantizes straight to the
+  // consumer's uint8 codes and the chain runs through network-owned
+  // ping-pong code buffers — no float activation tensor and no per-forward
+  // heap allocation between the linked layers. Layers outside a link run the float path unchanged,
+  // so uncalibrated models run the float-staged walk. That staged walk is
+  // also the test oracle for this plan: ForwardUpTo(x, LayerCount()) runs
+  // it on the float entry, and layer(0).ForwardQuantized followed by
+  // per-layer Forward runs it on the u8 entry. Forward/ForwardQuantized
+  // re-plan only on an input-shape change or a SimdDispatchGeneration bump.
   // RequantLinkCount() reports how many emit links the current plan holds
   // (0 = plan inert, pure float-staged behavior).
   size_t RequantLinkCount() const;
@@ -162,8 +165,6 @@ class Network {
   bool calibration_capture_ = false;
 
   std::vector<DataflowStep> dataflow_;
-  bool dataflow_enabled_at_plan_ = false;
-  GapCodesMode gap_codes_at_plan_ = GapCodesMode::kForceOff;
   // SimdDispatchGeneration() at plan time: a SetSimdTierCap between forwards
   // bumps it, forcing a re-plan (and repack) under the new tier's panel
   // width and weight clamp.

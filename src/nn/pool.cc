@@ -146,19 +146,10 @@ Tensor GlobalAvgPool::Forward(const Tensor& input) {
 }
 
 bool GlobalAvgPool::AcceptsQuantizedInput() const {
-  const bool calibrated = !training_ && has_input_calibration_;
-  switch (GetGapCodesMode()) {
-    case GapCodesMode::kForceOff:
-      return false;
-    case GapCodesMode::kForceOn:
-      return calibrated;
-    case GapCodesMode::kAuto:
-      // Default-on exactly for deployment artifacts: ranges supplied by a
-      // serialized calibration trailer (the population the 64-image top-1
-      // accuracy guard vets), never ranges captured live in this process.
-      return calibrated && calibration_from_trailer_;
-  }
-  return false;
+  // On exactly for deployment artifacts: ranges supplied by a serialized
+  // calibration trailer (the population the 64-image top-1 accuracy guard
+  // vets), never ranges captured live in this process.
+  return !training_ && has_input_calibration_ && calibration_from_trailer_;
 }
 
 Tensor GlobalAvgPool::ForwardQuantized(const QuantizedTensorView& input) {
@@ -221,7 +212,7 @@ size_t GlobalAvgPool::ConsumeCalibration(const ActivationCalibration* entries, s
   calib_min_ = entries[0].min_value;
   calib_max_ = entries[0].max_value;
   // ConsumeCalibration is how a serialized trailer's ranges arrive (see
-  // Network::LoadCalibration); this is what arms GapCodesMode::kAuto.
+  // Network::LoadCalibration); this is what arms the GAP-on-codes link.
   calibration_from_trailer_ = entries[0].valid;
   return 1;
 }

@@ -34,17 +34,16 @@ class MaxPool2D : public Layer {
 // Collapses each (h, w) plane to a single value: the paper's final
 // global-average-pool before SoftMax (Fig. 3).
 //
-// GAP-on-codes (opt-in via SetGapCodesEnabled): averaging commutes with the
+// GAP-on-codes: averaging commutes with the
 // affine dequantization map, so with a calibrated input range eval-mode GAP
 // can terminate the zero-float code chain itself — int32 sums over the
 // uint8 codes, one dequantize per channel — instead of forcing the emitting
 // conv back through a float store. The average is computed in code space,
 // so logits differ from the staged path by up to half a code step; the
 // link is therefore guarded by a 64-image >= 99% top-1 agreement test
-// (tests/nn_requant_test.cc). GapCodesMode::kAuto (the default) enables it
-// exactly when a serialized calibration trailer supplied the GAP range —
-// the deployment population the guard vets — with kForceOff as the opt-out
-// (the old default) and kForceOn covering live-captured ranges too.
+// (tests/nn_requant_test.cc). The link is on exactly when a serialized
+// calibration trailer supplied the GAP range — the deployment population
+// the guard vets — and off for ranges captured live in this process.
 class GlobalAvgPool : public Layer {
  public:
   Tensor Forward(const Tensor& input) override;
@@ -54,10 +53,9 @@ class GlobalAvgPool : public Layer {
     return TensorShape{input.n, 1, 1, input.c};
   }
 
-  // True only when the GAP-on-codes mode allows the link (see GapCodesMode
-  // in gemm.h), the layer is in eval mode, and a calibrated input range
-  // exists (the planner also requires the range to derive the producer's
-  // emit quantization).
+  // True only in eval mode with a calibrated input range that arrived via
+  // a calibration trailer (the planner also requires the range to derive
+  // the producer's emit quantization).
   bool AcceptsQuantizedInput() const override;
   Tensor ForwardQuantized(const QuantizedTensorView& input) override;
 
@@ -75,7 +73,7 @@ class GlobalAvgPool : public Layer {
   bool has_input_calibration_ = false;
   // True when the current range arrived via ConsumeCalibration (a PCVW v2
   // trailer / Network::LoadCalibration), false once live capture replaces
-  // it — the discriminator GapCodesMode::kAuto keys on.
+  // it — the discriminator the GAP-on-codes link keys on.
   bool calibration_from_trailer_ = false;
   float calib_min_ = 0.0f;
   float calib_max_ = 0.0f;

@@ -8,8 +8,11 @@
 //     kernel (SetGemmForceScalar);
 //   * int8: implicit logits and requantized u8 codes are BIT-IDENTICAL to
 //     the materialized gather and to the scalar implicit oracle;
-//   * the planner picks implicit exactly for multi-tap kh-kw-c plans with a
-//     non-degenerate interior, and the force modes pin it for A/Bs;
+//   * the planner picks implicit exactly for multi-tap convs whose interior
+//     run is at least kImplicitMinInteriorRun columns;
+//   * network level: a calibrated int8 experiment-profile net on the
+//     u8-direct entry under the zero-float plan gives bit-identical logits
+//     with every conv pinned materialized and under the auto plan;
 //   * gather traffic: an interior-dominant 3x3 drops conv im2col bytes and
 //     arena high-water by >= 8x vs materialized, and a pad-0 shape (no edge
 //     columns at all) drops them to exactly zero.
@@ -26,8 +29,11 @@
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/core/model.h"
 #include "src/nn/conv.h"
+#include "src/nn/fire.h"
 #include "src/nn/gemm.h"
+#include "src/nn/network.h"
 #include "src/nn/simd.h"
 
 namespace percival {
@@ -41,11 +47,6 @@ struct TierCapGuard {
     SetSimdTierCap(SimdTier::kVnni);
     SetGemmForceScalar(false);
   }
-};
-
-// Restores the default gather heuristic however a test exits.
-struct GatherPolicyGuard {
-  ~GatherPolicyGuard() { SetPlannerGatherPolicy(GatherPolicyMode::kAuto); }
 };
 
 Tensor RandomTensor(const TensorShape& shape, uint64_t seed) {
@@ -224,12 +225,10 @@ TEST(ImplicitGatherTest, Int8RequantCodesBitExactAcrossLadder) {
   }
 }
 
-// The planner's gather heuristic: implicit exactly for multi-tap kh-kw-c
-// plans with a non-degenerate interior; 1x1 and interior-free shapes stay
-// materialized; the force modes pin either answer for A/B runs.
-TEST(ImplicitGatherTest, PlannerGatherHeuristicAndPins) {
-  GatherPolicyGuard guard;
-  SetPlannerGatherPolicy(GatherPolicyMode::kAuto);
+// The planner's gather heuristic: implicit exactly for multi-tap convs
+// whose interior run reaches kImplicitMinInteriorRun columns; 1x1 and
+// short-interior shapes stay materialized.
+TEST(ImplicitGatherTest, PlannerGatherHeuristic) {
   EXPECT_EQ(ChooseConvKernelPlan(32, 3, 1, 1, 32).gather, GatherPolicy::kImplicit);
   // Stride 2, width 19: interior run (19-3+1)/2+1 - 1 = 8 columns — exactly
   // the kImplicitMinInteriorRun floor.
@@ -246,11 +245,81 @@ TEST(ImplicitGatherTest, PlannerGatherHeuristicAndPins) {
   EXPECT_EQ(ChooseConvKernelPlan(32, 3, 1, 1, 3).gather, GatherPolicy::kMaterialize);
   // 2-wide input under a 3x3/pad-1 kernel: every output column touches pad.
   EXPECT_EQ(ChooseConvKernelPlan(32, 3, 1, 1, 2).gather, GatherPolicy::kMaterialize);
+}
 
-  SetPlannerGatherPolicy(GatherPolicyMode::kForceMaterialize);
-  EXPECT_EQ(ChooseConvKernelPlan(32, 3, 1, 1, 32).gather, GatherPolicy::kMaterialize);
-  SetPlannerGatherPolicy(GatherPolicyMode::kForceImplicit);
-  EXPECT_EQ(ChooseConvKernelPlan(32, 3, 1, 1, 2).gather, GatherPolicy::kImplicit);
+// Pins every conv of `net` (fire-internal ones included) to the
+// materialized gather, keeping each conv's panel width.
+void PinMaterializedEverywhere(Network& net) {
+  const auto pin = [](Conv2D& conv) {
+    KernelPlan plan = conv.plan();
+    plan.gather = GatherPolicy::kMaterialize;
+    conv.SetKernelPlan(plan);
+  };
+  for (size_t i = 0; i < net.LayerCount(); ++i) {
+    if (auto* conv = dynamic_cast<Conv2D*>(&net.layer(i))) {
+      pin(*conv);
+    } else if (auto* fire = dynamic_cast<FireModule*>(&net.layer(i))) {
+      pin(fire->squeeze());
+      pin(fire->expand1x1());
+      pin(fire->expand3x3());
+    }
+  }
+}
+
+// Network-level implicit == materialized on the deployment path: a
+// calibrated int8 experiment-profile net fed u8 codes directly, with the
+// zero-float plan linking the convs. The auto plan (implicit on the wide
+// stages) and an all-materialized pin must produce bit-identical logits.
+TEST(ImplicitGatherTest, NetworkAutoPlanBitIdenticalToAllMaterialized) {
+  const PercivalNetConfig config = ExperimentProfile();
+  Network net = BuildPercivalNet(config);
+  net.SetTrainingMode(false);
+  net.SetCalibrationCapture(true);
+  net.Forward(RandomTensor(config.InputShape(), 61));
+  net.Forward(RandomTensor(config.InputShape(), 62));
+  net.SetCalibrationCapture(false);
+  net.SetPrecision(Precision::kInt8);
+  ASSERT_TRUE(net.AcceptsQuantizedInput());
+
+  float lo = 0.0f;
+  float hi = 1.0f;
+  ASSERT_TRUE(net.layer(0).InputCalibration(&lo, &hi));
+  const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+  std::vector<std::vector<uint8_t>> inputs;
+  for (uint64_t seed = 63; seed < 66; ++seed) {
+    Tensor input = RandomTensor(config.InputShape(), seed);
+    inputs.emplace_back(static_cast<size_t>(input.size()));
+    QuantizeActivations(input.data(), input.size(), quant, inputs.back().data());
+  }
+  const auto view = [&](const std::vector<uint8_t>& codes) {
+    return QuantizedTensorView{codes.data(), config.InputShape(), quant.scale,
+                               quant.zero_point};
+  };
+
+  std::vector<Tensor> auto_logits;
+  for (const auto& codes : inputs) {
+    auto_logits.push_back(net.ForwardQuantized(view(codes)));
+  }
+  ASSERT_GE(net.RequantLinkCount(), 2u) << "zero-float plan inactive";
+  int implicit_convs = 0;
+  for (const KernelPlanRow& row : net.CollectKernelPlanRows()) {
+    implicit_convs += row.implicit ? 1 : 0;
+  }
+  ASSERT_GT(implicit_convs, 0) << "auto plan picked no implicit conv; nothing to compare";
+
+  PinMaterializedEverywhere(net);
+  net.PlanForward(config.InputShape());
+  for (const KernelPlanRow& row : net.CollectKernelPlanRows()) {
+    ASSERT_FALSE(row.implicit) << row.layer << " escaped the materialized pin";
+  }
+  ASSERT_GE(net.RequantLinkCount(), 2u);
+  for (size_t t = 0; t < inputs.size(); ++t) {
+    const Tensor materialized = net.ForwardQuantized(view(inputs[t]));
+    ASSERT_TRUE(materialized.shape() == auto_logits[t].shape());
+    for (int64_t i = 0; i < materialized.size(); ++i) {
+      ASSERT_EQ(auto_logits[t][i], materialized[i]) << "input " << t << " logit " << i;
+    }
+  }
 }
 
 // Satellite: the gather-traffic counters. An interior-dominant 3x3 under the

@@ -3,7 +3,9 @@
 // oracle on every compiled SIMD tier at both panel widths, the defining
 // identity (requant store == float store + QuantizeActivations, to the
 // byte), plan engagement/inertness across calibration states, bit-identical
-// logits between the zero-float plan and the float-staged int8 path, a
+// logits between the zero-float plan and the float-staged int8 walk (the
+// oracle: ForwardUpTo over every layer, or the layer(0).ForwardQuantized
+// loop on the u8 entry), a
 // steady-state counter proof that a planned frame allocates no float
 // activation tensor and no heap between codes-in and logits-out, and the
 // 64-image float-vs-int8 accuracy guard re-run with the plan active.
@@ -174,9 +176,9 @@ TEST(DataflowPlanTest, PlanInertWithoutCalibration) {
 }
 
 // With calibration the plan must engage (conv1 plus every fire module feeds
-// a calibrated int8 consumer) — and disengage again when the global knob is
-// off or capture mode resumes, both of which re-plan on the next forward.
-TEST(DataflowPlanTest, PlanEngagesWithCalibrationAndHonorsKnob) {
+// a calibrated int8 consumer) — and disengage again when capture mode
+// resumes, which re-plans on the next forward.
+TEST(DataflowPlanTest, PlanEngagesWithCalibrationAndYieldsToCapture) {
   const PercivalNetConfig config = TestProfile();
   Network net = BuildPercivalNet(config);
   net.SetTrainingMode(false);
@@ -187,15 +189,29 @@ TEST(DataflowPlanTest, PlanEngagesWithCalibrationAndHonorsKnob) {
   net.Forward(input);
   EXPECT_GE(net.RequantLinkCount(), 2u) << "calibrated net did not form requant links";
 
-  SetDataflowRequantEnabled(false);
-  net.Forward(input);
-  EXPECT_EQ(net.RequantLinkCount(), 0u) << "knob off must fall back to the staged path";
-  SetDataflowRequantEnabled(true);
-
   net.SetCalibrationCapture(true);
   net.Forward(input);
   EXPECT_EQ(net.RequantLinkCount(), 0u) << "capture mode must run float forwards";
   net.SetCalibrationCapture(false);
+}
+
+// Float-staged int8 oracle for a planned network: the per-layer walk
+// Network::Forward runs when the plan holds no links, with the same kernel
+// plans the zero-float forward uses.
+Tensor StagedForward(Network& net, const Tensor& input) {
+  net.PlanForward(input.shape());
+  return net.ForwardUpTo(input, net.LayerCount());
+}
+
+// Same oracle on the u8-direct entry: the first conv consumes the codes and
+// every later layer runs its float Forward.
+Tensor StagedForwardQuantized(Network& net, const QuantizedTensorView& input) {
+  net.PlanForward(input.shape);
+  Tensor current = net.layer(0).ForwardQuantized(input);
+  for (size_t i = 1; i < net.LayerCount(); ++i) {
+    current = net.layer(i).Forward(current);
+  }
+  return current;
 }
 
 // The headline contract: the zero-float plan produces BIT-identical logits
@@ -213,10 +229,7 @@ TEST(DataflowPlanTest, ZeroFloatPlanBitIdenticalToStagedInt8) {
   for (int trial = 0; trial < 4; ++trial) {
     Tensor input = RandomTensor(config.InputShape(), 90 + static_cast<uint64_t>(trial),
                                 0.0f, 1.0f);
-    SetDataflowRequantEnabled(false);
-    Tensor staged = net.Forward(input);
-    ASSERT_EQ(net.RequantLinkCount(), 0u);
-    SetDataflowRequantEnabled(true);
+    Tensor staged = StagedForward(net, input);
     Tensor zero_float = net.Forward(input);
     ASSERT_GE(net.RequantLinkCount(), 2u);
 
@@ -228,8 +241,7 @@ TEST(DataflowPlanTest, ZeroFloatPlanBitIdenticalToStagedInt8) {
 }
 
 // Same identity through the u8-direct entry (codes in from preprocessing):
-// ForwardQuantized under the plan matches ForwardQuantized with the plan
-// disabled, bitwise.
+// ForwardQuantized under the plan matches the staged u8-entry walk, bitwise.
 TEST(DataflowPlanTest, QuantizedEntryBitIdenticalToStagedInt8) {
   const PercivalNetConfig config = TestProfile();
   Network net = BuildPercivalNet(config);
@@ -246,9 +258,7 @@ TEST(DataflowPlanTest, QuantizedEntryBitIdenticalToStagedInt8) {
   QuantizeActivations(input.data(), input.size(), quant, codes.data());
   QuantizedTensorView view{codes.data(), input.shape(), quant.scale, quant.zero_point};
 
-  SetDataflowRequantEnabled(false);
-  Tensor staged = net.ForwardQuantized(view);
-  SetDataflowRequantEnabled(true);
+  Tensor staged = StagedForwardQuantized(net, view);
   Tensor zero_float = net.ForwardQuantized(view);
   ASSERT_GE(net.RequantLinkCount(), 2u);
 
@@ -370,13 +380,10 @@ TEST(RequantAccuracyGuardTest, TopOneAgreementWithZeroFloatPlanActive) {
 // store feeds GlobalAvgPool directly as codes — one more requant link, no
 // float activation tensor before pooling. The average moves into code
 // space, so logits are NOT bit-identical to the staged path; this 64-image
-// >= 99% top-1 agreement guard is the CI gate the default rides on.
-// GapCodesMode::kAuto (the shipping default) links only trailer-supplied
-// GAP ranges: live-captured ranges stay staged, a LoadCalibration round
-// trip arms the link, and kForceOff remains the opt-out.
+// >= 99% top-1 agreement guard is the CI gate the link rides on. Only
+// trailer-supplied GAP ranges link: a live-captured range stays staged, and
+// a LoadCalibration round trip (what a PCVW v2 trailer load does) arms it.
 TEST(RequantAccuracyGuardTest, TopOneAgreementWithGapOnCodes) {
-  ASSERT_TRUE(GetGapCodesMode() == GapCodesMode::kAuto)
-      << "GAP-on-codes must ship in kAuto (trailer-armed) mode";
   const PercivalNetConfig config = TestProfile();
   Network float_net = BuildPercivalNet(config);
   Network int8_net = BuildPercivalNet(config);  // same init_seed -> same weights
@@ -412,14 +419,15 @@ TEST(RequantAccuracyGuardTest, TopOneAgreementWithGapOnCodes) {
   int8_net.Forward(batch);
   const size_t links_without_gap = int8_net.RequantLinkCount();
 
-  SetGapCodesEnabled(true);  // kForceOn: links even this live-captured range
+  // Round-tripping the captured entries through LoadCalibration arms the
+  // link; LoadCalibration invalidates the plan, so the forward re-plans.
+  ASSERT_TRUE(int8_net.LoadCalibration(int8_net.CollectCalibration()));
   Tensor float_logits = float_net.Forward(batch);
-  Tensor int8_logits = int8_net.Forward(batch);  // mode change forces a re-plan
+  Tensor int8_logits = int8_net.Forward(batch);
   const size_t links_with_gap = int8_net.RequantLinkCount();
-  SetGapCodesMode(GapCodesMode::kAuto);  // restore the shipping default
 
   ASSERT_GT(links_with_gap, links_without_gap)
-      << "GAP-on-codes did not add the conv_final -> global_avgpool link";
+      << "a trailer-supplied GAP range did not add the conv_final -> global_avgpool link";
   ASSERT_TRUE(float_logits.shape() == int8_logits.shape());
 
   int agree = 0;
@@ -432,19 +440,14 @@ TEST(RequantAccuracyGuardTest, TopOneAgreementWithGapOnCodes) {
   EXPECT_GE(agreement, 0.99) << "GAP-on-codes flipped " << (kBatch - agree) << " of "
                              << kBatch << " top-1 decisions";
 
-  // kAuto links exactly the trailer-supplied population: round-tripping the
-  // captured entries through LoadCalibration (what a PCVW v2 trailer load
-  // does) arms the link with no force mode in play...
-  ASSERT_TRUE(int8_net.LoadCalibration(int8_net.CollectCalibration()));
+  // A range captured live in this process replaces the trailer's and must
+  // not link.
+  int8_net.SetCalibrationCapture(true);
   int8_net.Forward(batch);
-  EXPECT_EQ(int8_net.RequantLinkCount(), links_with_gap)
-      << "kAuto did not link GAP for a trailer-supplied range";
-  // ...and kForceOff is the documented opt-out back to the old default.
-  SetGapCodesEnabled(false);
+  int8_net.SetCalibrationCapture(false);
   int8_net.Forward(batch);
   EXPECT_EQ(int8_net.RequantLinkCount(), links_without_gap)
-      << "kForceOff did not unlink GAP";
-  SetGapCodesMode(GapCodesMode::kAuto);
+      << "a live-captured GAP range linked";
 }
 
 }  // namespace

@@ -447,10 +447,10 @@ TEST(SerializeCalibrationTest, TrailerRoundTripRestoresRangesAndForward) {
 
   writer.SetPrecision(Precision::kInt8);
   reader.SetPrecision(Precision::kInt8);
-  // Under GapCodesMode::kAuto the reader's trailer-supplied GAP range links
-  // GAP-on-codes while the writer's live-captured one would not; feed the
-  // writer its own collected entries (the deployment situation: both sides
-  // load from a trailer) so both run the same plan and stay comparable.
+  // The reader's trailer-supplied GAP range links GAP-on-codes while the
+  // writer's live-captured one would not; feed the writer its own collected
+  // entries (the deployment situation: both sides load from a trailer) so
+  // both run the same plan and stay comparable.
   ASSERT_TRUE(writer.LoadCalibration(written));
   const Tensor input = RandomTensor(TestProfile().InputShape(), 12, 0.0f, 1.0f);
   EXPECT_EQ(MaxAbsDiff(writer.Forward(input), reader.Forward(input)), 0.0f)
