@@ -2,7 +2,8 @@
 // vs scalar tile kernel vs the compiled SIMD kernel, fused, threaded, and
 // int8-quantized variants), fire modules, full-network inference at both
 // profiles (train mode, eval mode, and int8), codec decode,
-// bitmap-to-tensor preprocessing, and filter-rule matching. The float and
+// bitmap-to-tensor preprocessing (64 px and the 224x224x4 paper profile),
+// the code max-pool, and filter-rule matching. The float and
 // int8 entries run on identical layers and inputs so BENCH_*.json tracks
 // the quantization multiplier across PRs.
 //
@@ -20,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -35,6 +37,7 @@
 #include "src/nn/fire.h"
 #include "src/nn/gemm.h"
 #include "src/nn/network.h"
+#include "src/nn/ops.h"
 #include "src/nn/serialize.h"
 #include "src/webgen/ad_network.h"
 #include "src/webgen/adgen.h"
@@ -471,6 +474,41 @@ void RunSuite(const Options& options) {
     // reuses a thread-local 8x8 scratch instead of allocating per call.
     bench("phash_average_hash", 50, 0,
           [&] { g_sink += static_cast<float>(AverageHash(ad) & 0xff); });
+  }
+
+  {
+    // The paper profile's two byte loops outside the CNN, on the calling
+    // thread (no pool): u8 preprocessing to 224x224x4 codes from an
+    // upsampled banner and from a downsampled page-sized creative, and the
+    // code max-pool over conv1's 112x112x64 output. Kernel rows, so a
+    // regression in the resize row kernel or the vectorized pool shows here
+    // before it blurs into an end-to-end number.
+    Rng rng(12);
+    auto random_bitmap = [&](int width, int height) {
+      Bitmap bitmap(width, height);
+      for (size_t i = 0; i < bitmap.byte_size(); ++i) {
+        bitmap.data()[i] = static_cast<uint8_t>(rng.NextBelow(256));
+      }
+      return bitmap;
+    };
+    std::vector<uint8_t> codes(static_cast<size_t>(224) * 224 * 4);
+    for (const auto& [width, height] : {std::pair{160, 50}, std::pair{1000, 301}}) {
+      const Bitmap source = random_bitmap(width, height);
+      bench("preprocess_u8_224_from_" + std::to_string(width) + "x" + std::to_string(height),
+            50, 0, [&] {
+              BitmapToTensorU8Into(source, 224, 4, 1.0f / 255.0f, 0, codes.data());
+              g_sink += static_cast<float>(codes[0]);
+            });
+    }
+    std::vector<uint8_t> map(static_cast<size_t>(112) * 112 * 64);
+    for (uint8_t& code : map) {
+      code = static_cast<uint8_t>(rng.NextBelow(256));
+    }
+    std::vector<uint8_t> pooled(static_cast<size_t>(56) * 56 * 64);
+    bench("maxpool_codes_112x112x64", 50, 0, [&] {
+      MaxPoolCodes(map.data(), 112, 112, 64, 2, 2, pooled.data());
+      g_sink += static_cast<float>(pooled[0]);
+    });
   }
 
   {

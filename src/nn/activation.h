@@ -26,6 +26,7 @@ class Relu : public Layer {
   // relu(code) = max(code, zero_point) exactly (quantize(0) == zp), but it
   // skips the backward mask — eval mode only.
   bool SupportsCodeTransform() const override { return !training_; }
+  bool IsReluCodeTransform() const override { return !training_; }
   void ForwardCodes(const QuantizedTensorView& input, uint8_t* out) override;
 
  private:

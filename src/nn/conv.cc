@@ -561,22 +561,23 @@ void Conv2D::ForwardQuantizedIntoU8(const QuantizedTensorView& input, GemmEpilog
 }
 
 void Conv2D::ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                            uint8_t* out) {
+                            bool relu, uint8_t* out) {
   ActivationQuant out_quant;
   out_quant.scale = out_scale;
   out_quant.zero_point = out_zero_point;
   const TensorShape out_shape = OutputShape(input.shape());
-  ForwardIntoU8(input, GemmEpilogue::kBias, out_quant, out, out_shape.c,
-                static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c);
+  ForwardIntoU8(input, relu ? GemmEpilogue::kBiasRelu : GemmEpilogue::kBias, out_quant, out,
+                out_shape.c, static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c);
 }
 
 void Conv2D::ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                                     int32_t out_zero_point, uint8_t* out) {
+                                     int32_t out_zero_point, bool relu, uint8_t* out) {
   ActivationQuant out_quant;
   out_quant.scale = out_scale;
   out_quant.zero_point = out_zero_point;
   const TensorShape out_shape = OutputShape(input.shape);
-  ForwardQuantizedIntoU8(input, GemmEpilogue::kBias, out_quant, out, out_shape.c,
+  ForwardQuantizedIntoU8(input, relu ? GemmEpilogue::kBiasRelu : GemmEpilogue::kBias,
+                         out_quant, out, out_shape.c,
                          static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c);
 }
 

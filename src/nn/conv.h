@@ -141,13 +141,13 @@ class Conv2D : public Layer {
                               const ActivationQuant& out_quant, uint8_t* out, int64_t ldc,
                               int64_t sample_stride);
 
-  // Layer-protocol wrappers over the u8 writers (dense output, kBias
-  // epilogue — the network applies activations as separate layers).
+  // Layer-protocol wrappers over the u8 writers (dense output; kBias
+  // epilogue, or kBiasRelu when the planner folded the following ReLU).
   bool CanEmitQuantizedCodes() const override { return AcceptsQuantizedInput(); }
-  void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
+  void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point, bool relu,
                       uint8_t* out) override;
   void ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                               int32_t out_zero_point, uint8_t* out) override;
+                               int32_t out_zero_point, bool relu, uint8_t* out) override;
 
   // Input-range calibration: when set, the int8 forward derives its
   // activation quantization from this range instead of scanning the input

@@ -169,7 +169,8 @@ Tensor FireModule::ForwardQuantized(const QuantizedTensorView& input) {
 }
 
 void FireModule::ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                                uint8_t* out) {
+                                bool relu, uint8_t* out) {
+  (void)relu;
   PCHECK(AcceptsQuantizedInput()) << Name() << " cannot emit quantized codes";
   const TensorShape out_shape = OutputShape(input.shape());
   const TensorShape squeezed_shape{input.shape().n, input.shape().h, input.shape().w,
@@ -200,7 +201,8 @@ void FireModule::ForwardToCodes(const Tensor& input, float out_scale, int32_t ou
 }
 
 void FireModule::ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                                         int32_t out_zero_point, uint8_t* out) {
+                                         int32_t out_zero_point, bool relu, uint8_t* out) {
+  (void)relu;
   PCHECK(AcceptsQuantizedInput()) << Name() << " cannot emit quantized codes";
   const TensorShape out_shape = OutputShape(input.shape);
   const TensorShape squeezed_shape{input.shape.n, input.shape.h, input.shape.w,

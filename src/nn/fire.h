@@ -82,11 +82,13 @@ class FireModule : public Layer {
   // emission available whenever the convs are int8-eval.
   bool AcceptsQuantizedInput() const override;
   Tensor ForwardQuantized(const QuantizedTensorView& input) override;
+  // Both expands already store through kBiasRelu, so a folded trailing
+  // ReLU (`relu`) is the identity here.
   bool CanEmitQuantizedCodes() const override { return AcceptsQuantizedInput(); }
-  void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
+  void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point, bool relu,
                       uint8_t* out) override;
   void ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                               int32_t out_zero_point, uint8_t* out) override;
+                               int32_t out_zero_point, bool relu, uint8_t* out) override;
 
   // Inner-conv access for tests and benches (plan inspection, pinning).
   Conv2D& squeeze() { return squeeze_; }

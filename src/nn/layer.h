@@ -151,7 +151,10 @@ class Layer {
   //     codes: quantization is monotone, so max-based ops commute with it
   //     exactly (relu(code) = max(code, zp) because quantize(0) == zp).
   //     ForwardCodes rewrites input codes to output codes under the SAME
-  //     (scale, zero_point).
+  //     (scale, zero_point). A ReLU transform directly after an emitter is
+  //     folded into it instead: the emitter gets `relu` = true and applies
+  //     max(v, 0) before its requant store, which yields the same codes
+  //     (quantize(max(v, 0)) == max(quantize(v), zp)) without a code pass.
   //   * everything else breaks the code chain and the network falls back to
   //     the float path at that point.
   // Scale/zero-point travel as plain scalars so this header stays
@@ -159,22 +162,27 @@ class Layer {
   // the planner only routes codes at layers that advertise support.
   virtual bool CanEmitQuantizedCodes() const { return false; }
   virtual void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                              uint8_t* out) {
+                              bool relu, uint8_t* out) {
     (void)input;
     (void)out_scale;
     (void)out_zero_point;
+    (void)relu;
     (void)out;
     PCHECK(false) << Name() << " cannot emit quantized codes";
   }
   virtual void ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                                       int32_t out_zero_point, uint8_t* out) {
+                                       int32_t out_zero_point, bool relu, uint8_t* out) {
     (void)input;
     (void)out_scale;
     (void)out_zero_point;
+    (void)relu;
     (void)out;
     PCHECK(false) << Name() << " cannot emit quantized codes";
   }
   virtual bool SupportsCodeTransform() const { return false; }
+  // True for a transform that is exactly max(code, zp) — the one the
+  // planner folds into a preceding emitter.
+  virtual bool IsReluCodeTransform() const { return false; }
   virtual void ForwardCodes(const QuantizedTensorView& input, uint8_t* out) {
     (void)input;
     (void)out;

@@ -74,10 +74,13 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
         dataflow_[i].mode = DataflowStep::Mode::kEmit;
         dataflow_[i].scale = quant.scale;
         dataflow_[i].zero_point = quant.zero_point;
+        dataflow_[i].relu = i + 1 < j && layers_[i + 1]->IsReluCodeTransform();
         for (size_t t = i; t < j; ++t) {
           dataflow_[t].out_shape = layers_[t]->OutputShape(input_shapes[t]);
           if (t > i) {
-            dataflow_[t].mode = DataflowStep::Mode::kTransform;
+            dataflow_[t].mode = t == i + 1 && dataflow_[i].relu
+                                    ? DataflowStep::Mode::kFolded
+                                    : DataflowStep::Mode::kTransform;
           }
           max_code_bytes = std::max(
               max_code_bytes, static_cast<size_t>(dataflow_[t].out_shape.Elements()));
@@ -138,9 +141,10 @@ Tensor Network::RunDataflow(const Tensor* float_in, const QuantizedTensorView* c
         uint8_t* out = code_buffers_[turn].data();
         turn ^= 1;
         if (codes_live) {
-          layers_[i]->ForwardQuantizedToCodes(codes, step.scale, step.zero_point, out);
+          layers_[i]->ForwardQuantizedToCodes(codes, step.scale, step.zero_point, step.relu,
+                                              out);
         } else {
-          layers_[i]->ForwardToCodes(current, step.scale, step.zero_point, out);
+          layers_[i]->ForwardToCodes(current, step.scale, step.zero_point, step.relu, out);
           current = Tensor();
         }
         codes = QuantizedTensorView{out, step.out_shape, step.scale, step.zero_point};
@@ -154,6 +158,8 @@ Tensor Network::RunDataflow(const Tensor* float_in, const QuantizedTensorView* c
         codes = QuantizedTensorView{out, step.out_shape, codes.scale, codes.zero_point};
         break;
       }
+      case DataflowStep::Mode::kFolded:
+        break;  // the emitter before it already applied this ReLU
       case DataflowStep::Mode::kFloat: {
         if (codes_live) {
           // Chain break: this layer consumes the live codes and returns the

@@ -69,7 +69,9 @@ class Network {
   // input range, the emitter's GEMM epilogue requantizes straight to the
   // consumer's uint8 codes and the chain runs through network-owned
   // ping-pong code buffers — no float activation tensor and no per-forward
-  // heap allocation between the linked layers. Layers outside a link run the float path unchanged,
+  // heap allocation between the linked layers. A ReLU directly after an
+  // emitter folds into the emitter's requant epilogue (kBiasRelu), so its
+  // code pass disappears. Layers outside a link run the float path unchanged,
   // so uncalibrated models run the float-staged walk. That staged walk is
   // also the test oracle for this plan: ForwardUpTo(x, LayerCount()) runs
   // it on the float entry, and layer(0).ForwardQuantized followed by
@@ -138,15 +140,18 @@ class Network {
 
  private:
   // One dataflow decision per layer (see RequantLinkCount above). kEmit
-  // carries the consumer's quantization; kTransform rewrites codes under
-  // the incoming quantization. A consumer needs no marker: it is simply a
-  // non-emitting layer reached while codes are live, and the runtime hands
-  // it the code view via ForwardQuantized.
+  // carries the consumer's quantization and whether the emitter applies the
+  // ReLU folded from the next layer, which then runs as kFolded (no work,
+  // codes pass through); kTransform rewrites codes under the incoming
+  // quantization. A consumer needs no marker: it is simply a non-emitting
+  // layer reached while codes are live, and the runtime hands it the code
+  // view via ForwardQuantized.
   struct DataflowStep {
-    enum class Mode { kFloat, kEmit, kTransform };
+    enum class Mode { kFloat, kEmit, kTransform, kFolded };
     Mode mode = Mode::kFloat;
     float scale = 1.0f;
     int32_t zero_point = 0;
+    bool relu = false;
     TensorShape out_shape{};
   };
 

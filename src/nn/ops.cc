@@ -132,10 +132,26 @@ void Col2Im(const float* columns, int height, int width, int channels, int kerne
 
 void ReluCodes(const uint8_t* in, int64_t count, int32_t zero_point, uint8_t* out) {
   const uint8_t zp = static_cast<uint8_t>(std::min<int32_t>(255, std::max<int32_t>(0, zero_point)));
+  // Branch-free so the baseline build emits pmaxub; elementwise, so
+  // in == out stays safe.
   for (int64_t i = 0; i < count; ++i) {
-    out[i] = in[i] > zp ? in[i] : zp;
+    out[i] = std::max(in[i], zp);
   }
 }
+
+namespace {
+
+// dst[c] = max(dst[c], src[c]). The __restrict promise (a pool window tap
+// never overlaps the output) is what lets the compiler turn the loop into
+// pmaxub; a conditional store through possibly-aliasing pointers stays
+// scalar.
+inline void MaxInto(uint8_t* __restrict dst, const uint8_t* __restrict src, int count) {
+  for (int c = 0; c < count; ++c) {
+    dst[c] = std::max(dst[c], src[c]);
+  }
+}
+
+}  // namespace
 
 void MaxPoolCodes(const uint8_t* in, int height, int width, int channels, int kernel,
                   int stride, uint8_t* out) {
@@ -144,28 +160,17 @@ void MaxPoolCodes(const uint8_t* in, int height, int width, int channels, int ke
   for (int oh = 0; oh < out_h; ++oh) {
     for (int ow = 0; ow < out_w; ++ow) {
       uint8_t* dst = out + (static_cast<int64_t>(oh) * out_w + ow) * channels;
-      bool first = true;
-      for (int kh = 0; kh < kernel; ++kh) {
-        const int ih = oh * stride + kh;
-        if (ih >= height) {
-          continue;
-        }
-        for (int kw = 0; kw < kernel; ++kw) {
-          const int iw = ow * stride + kw;
-          if (iw >= width) {
-            continue;
-          }
-          const uint8_t* src = in + (static_cast<int64_t>(ih) * width + iw) * channels;
-          if (first) {
-            std::memcpy(dst, src, static_cast<size_t>(channels));
-            first = false;
-          } else {
-            for (int c = 0; c < channels; ++c) {
-              if (src[c] > dst[c]) {
-                dst[c] = src[c];
-              }
-            }
-          }
+      // Tap (0, 0) is always in bounds: it seeds the window's max.
+      const int ih0 = oh * stride;
+      const int iw0 = ow * stride;
+      std::memcpy(dst, in + (static_cast<int64_t>(ih0) * width + iw0) * channels,
+                  static_cast<size_t>(channels));
+      const int kh_end = std::min(kernel, height - ih0);
+      const int kw_end = std::min(kernel, width - iw0);
+      for (int kh = 0; kh < kh_end; ++kh) {
+        const uint8_t* src_row = in + static_cast<int64_t>(ih0 + kh) * width * channels;
+        for (int kw = kh == 0 ? 1 : 0; kw < kw_end; ++kw) {
+          MaxInto(dst, src_row + static_cast<int64_t>(iw0 + kw) * channels, channels);
         }
       }
     }

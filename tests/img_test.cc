@@ -2,7 +2,11 @@
 // formats and sizes), resize, drawing, perceptual hashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/img/bitmap.h"
@@ -10,6 +14,7 @@
 #include "src/img/draw.h"
 #include "src/img/phash.h"
 #include "src/img/resize.h"
+#include "src/nn/gemm.h"
 
 namespace percival {
 namespace {
@@ -180,6 +185,126 @@ TEST(ResizeTest, DownscaleDimensions) {
   Bitmap resized = ResizeBilinear(bitmap, 32, 32);
   EXPECT_EQ(resized.width(), 32);
   EXPECT_EQ(resized.height(), 32);
+}
+
+// The original per-pixel bilinear resample (GetPixel per tap, per-pixel tap
+// arithmetic, std::lround per channel), kept verbatim as the oracle for the
+// table-driven row kernel.
+Bitmap ReferenceResize(const Bitmap& source, int out_width, int out_height) {
+  Bitmap out(out_width, out_height);
+  const float x_scale = static_cast<float>(source.width()) / static_cast<float>(out_width);
+  const float y_scale = static_cast<float>(source.height()) / static_cast<float>(out_height);
+  for (int y = 0; y < out_height; ++y) {
+    const float sy = (static_cast<float>(y) + 0.5f) * y_scale - 0.5f;
+    const int y0 = std::clamp(static_cast<int>(std::floor(sy)), 0, source.height() - 1);
+    const int y1 = std::min(y0 + 1, source.height() - 1);
+    const float fy = std::clamp(sy - static_cast<float>(y0), 0.0f, 1.0f);
+    for (int x = 0; x < out_width; ++x) {
+      const float sx = (static_cast<float>(x) + 0.5f) * x_scale - 0.5f;
+      const int x0 = std::clamp(static_cast<int>(std::floor(sx)), 0, source.width() - 1);
+      const int x1 = std::min(x0 + 1, source.width() - 1);
+      const float fx = std::clamp(sx - static_cast<float>(x0), 0.0f, 1.0f);
+      const Color c00 = source.GetPixel(x0, y0);
+      const Color c10 = source.GetPixel(x1, y0);
+      const Color c01 = source.GetPixel(x0, y1);
+      const Color c11 = source.GetPixel(x1, y1);
+      auto lerp = [&](uint8_t a, uint8_t b, uint8_t c, uint8_t d) -> uint8_t {
+        const float top = static_cast<float>(a) + fx * (static_cast<float>(b) - a);
+        const float bottom = static_cast<float>(c) + fx * (static_cast<float>(d) - c);
+        return static_cast<uint8_t>(std::lround(top + fy * (bottom - top)));
+      };
+      out.SetPixel(x, y, Color{lerp(c00.r, c10.r, c01.r, c11.r), lerp(c00.g, c10.g, c01.g, c11.g),
+                               lerp(c00.b, c10.b, c01.b, c11.b),
+                               lerp(c00.a, c10.a, c01.a, c11.a)});
+    }
+  }
+  return out;
+}
+
+// The tensor entry points' original composition: borrow a source already at
+// target size, else resample; then normalize (float) or map through the
+// quantization LUT (u8 codes).
+Bitmap ReferenceScaled(const Bitmap& source, int size) {
+  return (source.width() == size && source.height() == size) ? source
+                                                             : ReferenceResize(source, size, size);
+}
+
+// Every source shape class the kernel distinguishes: degenerate 1-pixel
+// axes, the exact-size borrow, upsampling on one or both axes, and
+// downsamples (128 -> 64 puts every tap weight at exactly 0.5, the
+// rounding tie).
+std::vector<Bitmap> GoldenSources() {
+  Rng rng(41);
+  std::vector<Bitmap> sources;
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {1, 1}, {1, 37}, {41, 1}, {224, 224}, {64, 64}, {128, 128}, {160, 50}, {80, 240},
+           {1000, 301}}) {
+    sources.push_back(RandomBitmap(rng, w, h));
+  }
+  return sources;
+}
+
+void ExpectResizeMatchesReference() {
+  for (const Bitmap& source : GoldenSources()) {
+    for (const auto& [w, h] :
+         std::vector<std::pair<int, int>>{{1, 1}, {13, 11}, {64, 64}, {224, 224}}) {
+      const Bitmap expected = ReferenceResize(source, w, h);
+      Bitmap out;
+      ResizeBilinearInto(source, w, h, &out);
+      ASSERT_EQ(out.width(), w);
+      ASSERT_EQ(out.height(), h);
+      for (size_t i = 0; i < out.byte_size(); ++i) {
+        ASSERT_EQ(out.data()[i], expected.data()[i])
+            << source.width() << "x" << source.height() << " -> " << w << "x" << h
+            << " at byte " << i;
+      }
+    }
+  }
+}
+
+void ExpectTensorSinksMatchReference(float scale, int32_t zero_point) {
+  for (const Bitmap& source : GoldenSources()) {
+    for (const int size : {1, 7, 64, 224}) {
+      const Bitmap scaled = ReferenceScaled(source, size);
+      for (const int channels : {3, 4}) {
+        const size_t count = static_cast<size_t>(size) * size * channels;
+        std::vector<float> floats(count, -1.0f);
+        std::vector<uint8_t> codes(count, 0xAA);
+        BitmapToTensorInto(source, size, channels, floats.data());
+        BitmapToTensorU8Into(source, size, channels, scale, zero_point, codes.data());
+        for (size_t i = 0; i < count; ++i) {
+          const uint8_t byte = scaled.data()[(i / channels) * 4 + i % channels];
+          const float v = static_cast<float>(byte) / 255.0f;
+          const int32_t q = zero_point + static_cast<int32_t>(std::nearbyint(v * (1.0f / scale)));
+          ASSERT_EQ(floats[i], v) << source.width() << "x" << source.height() << " -> "
+                                  << size << "x" << channels << " at " << i;
+          ASSERT_EQ(codes[i], static_cast<uint8_t>(std::clamp(q, 0, 255)))
+              << source.width() << "x" << source.height() << " -> " << size << "x"
+              << channels << " at " << i;
+        }
+      }
+    }
+  }
+}
+
+// The row kernel must reproduce the original per-pixel formula byte for
+// byte through all three sinks (RGBA bitmap, float tensor, u8 codes).
+TEST(ResizeGoldenTest, RgbaMatchesPerPixelFormula) { ExpectResizeMatchesReference(); }
+
+// Two quantizations: the deployment one ([0, 1] range, whose LUT is the
+// identity) and one that shifts and saturates codes.
+TEST(ResizeGoldenTest, TensorSinksMatchPerPixelFormula) {
+  ExpectTensorSinksMatchReference(1.0f / 255.0f, 0);
+  ExpectTensorSinksMatchReference(1.0f / 200.0f, 17);
+}
+
+// Same, with rows fanned out over an inference pool (224 px targets cross
+// the fan-out threshold; the smaller ones stay on the caller).
+TEST(ResizeGoldenTest, MatchesPerPixelFormulaUnderPool) {
+  ScopedInferencePool pool(3);
+  ExpectResizeMatchesReference();
+  ExpectTensorSinksMatchReference(1.0f / 255.0f, 0);
+  ExpectTensorSinksMatchReference(1.0f / 200.0f, 17);
 }
 
 TEST(ResizeTest, BitmapToTensorNormalizes) {

@@ -5,14 +5,17 @@
 // byte), plan engagement/inertness across calibration states, bit-identical
 // logits between the zero-float plan and the float-staged int8 walk (the
 // oracle: ForwardUpTo over every layer, or the layer(0).ForwardQuantized
-// loop on the u8 entry), a
-// steady-state counter proof that a planned frame allocates no float
-// activation tensor and no heap between codes-in and logits-out, and the
-// 64-image float-vs-int8 accuracy guard re-run with the plan active.
+// loop on the u8 entry) — including a ReLU folded into its emitter under a
+// non-zero zero point — the code transforms (MaxPoolCodes, ReluCodes)
+// against scalar oracles, a steady-state counter proof that a planned frame
+// allocates no float activation tensor and no heap between codes-in and
+// logits-out, and the 64-image float-vs-int8 accuracy guard re-run with the
+// plan active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -20,6 +23,8 @@
 #include "src/img/resize.h"
 #include "src/nn/gemm.h"
 #include "src/nn/network.h"
+#include "src/nn/ops.h"
+#include "src/nn/pool.h"
 #include "src/nn/tensor.h"
 #include "src/webgen/adgen.h"
 #include "src/webgen/contentgen.h"
@@ -153,6 +158,91 @@ TEST(RequantKernelTest, RequantEqualsFloatStorePlusQuantize) {
   }
 }
 
+// -------------------------------------------------- code transforms ----
+
+// Scalar oracle for MaxPoolCodes: each output code is the max over its
+// window's in-bounds taps (pad 0).
+std::vector<uint8_t> ReferenceMaxPoolCodes(const uint8_t* in, int height, int width,
+                                           int channels, int kernel, int stride) {
+  const int out_h = (height - kernel) / stride + 1;
+  const int out_w = (width - kernel) / stride + 1;
+  std::vector<uint8_t> out(static_cast<size_t>(out_h) * out_w * channels, 0);
+  for (int oh = 0; oh < out_h; ++oh) {
+    for (int ow = 0; ow < out_w; ++ow) {
+      for (int c = 0; c < channels; ++c) {
+        int best = -1;
+        for (int kh = 0; kh < kernel; ++kh) {
+          for (int kw = 0; kw < kernel; ++kw) {
+            const int ih = oh * stride + kh;
+            const int iw = ow * stride + kw;
+            if (ih < height && iw < width) {
+              best = std::max<int>(best, in[(static_cast<size_t>(ih) * width + iw) * channels + c]);
+            }
+          }
+        }
+        out[(static_cast<size_t>(oh) * out_w + ow) * channels + c] = static_cast<uint8_t>(best);
+      }
+    }
+  }
+  return out;
+}
+
+// The vectorized code max-pool against the scalar oracle, through
+// MaxPool2D::ForwardCodes on a batch of 2: odd and even spatial sizes, the
+// 3/2 window BuildOriginalSqueezeNet uses and the 2/2 one BuildPercivalNet
+// uses, and channel counts below, between and at vector widths.
+TEST(CodeTransformTest, MaxPoolCodesMatchesScalarOracle) {
+  Rng rng(61);
+  for (const auto& [kernel, stride] : std::vector<std::pair<int, int>>{{3, 2}, {2, 2}}) {
+    for (const int channels : {3, 17, 64}) {
+      for (const auto& [h, w] : std::vector<std::pair<int, int>>{{7, 9}, {13, 5}, {8, 8}}) {
+        const TensorShape shape{2, h, w, channels};
+        std::vector<uint8_t> in(static_cast<size_t>(shape.Elements()));
+        for (auto& v : in) {
+          v = static_cast<uint8_t>(rng.NextBelow(256));
+        }
+        MaxPool2D pool(kernel, stride);
+        pool.SetTrainingMode(false);
+        const TensorShape out_shape = pool.OutputShape(shape);
+        std::vector<uint8_t> out(static_cast<size_t>(out_shape.Elements()), 0xAA);
+        pool.ForwardCodes(QuantizedTensorView{in.data(), shape, 0.1f, 7}, out.data());
+        const size_t in_sample = static_cast<size_t>(h) * w * channels;
+        const size_t out_sample = out.size() / 2;
+        for (int n = 0; n < 2; ++n) {
+          const std::vector<uint8_t> expected = ReferenceMaxPoolCodes(
+              in.data() + n * in_sample, h, w, channels, kernel, stride);
+          ASSERT_EQ(expected.size(), out_sample);
+          for (size_t i = 0; i < out_sample; ++i) {
+            ASSERT_EQ(out[n * out_sample + i], expected[i])
+                << "k" << kernel << "/s" << stride << " " << h << "x" << w << "x" << channels
+                << " sample " << n << " at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ReluCodes clamps at the zero point, out of place and in place.
+TEST(CodeTransformTest, ReluCodesClampsAtZeroPoint) {
+  Rng rng(62);
+  std::vector<uint8_t> in(1003);
+  for (auto& v : in) {
+    v = static_cast<uint8_t>(rng.NextBelow(256));
+  }
+  for (const int32_t zp : {0, 1, 128, 255}) {
+    std::vector<uint8_t> out(in.size(), 0);
+    ReluCodes(in.data(), static_cast<int64_t>(in.size()), zp, out.data());
+    std::vector<uint8_t> in_place = in;
+    ReluCodes(in_place.data(), static_cast<int64_t>(in_place.size()), zp, in_place.data());
+    for (size_t i = 0; i < in.size(); ++i) {
+      const uint8_t expected = static_cast<uint8_t>(std::max<int32_t>(in[i], zp));
+      ASSERT_EQ(out[i], expected) << "zp " << zp << " at " << i;
+      ASSERT_EQ(in_place[i], expected) << "zp " << zp << " at " << i;
+    }
+  }
+}
+
 // ------------------------------------------------- network dataflow plan --
 
 // Captures interior activation calibrations with a couple of float
@@ -265,6 +355,57 @@ TEST(DataflowPlanTest, QuantizedEntryBitIdenticalToStagedInt8) {
   ASSERT_TRUE(staged.shape() == zero_float.shape());
   for (int64_t i = 0; i < staged.size(); ++i) {
     ASSERT_EQ(staged[i], zero_float[i]) << "logit " << i;
+  }
+}
+
+// The planner folds conv1's ReLU into conv1's requant store (kBiasRelu).
+// With a zero point of 0 that fold is the identity — the requant clamp
+// already maps every negative value to code 0 — so this case loads a
+// trailer whose consumer range (fire1's input) has a negative min: the
+// consumer's zero point lands mid-range, and a missing ReLU would leave
+// codes below it. Both entries must still match the staged walk bitwise.
+TEST(DataflowPlanTest, FoldedReluBitIdenticalWithNonZeroZeroPoint) {
+  const PercivalNetConfig config = TestProfile();
+  Network net = BuildPercivalNet(config);
+  net.SetTrainingMode(false);
+  Calibrate(net, config.InputShape());
+  std::vector<ActivationCalibration> entries = net.CollectCalibration();
+  // Slot 0 is conv1's input; slot 1 is fire1's squeeze input, the range
+  // conv1 -> relu -> maxpool emits under.
+  ASSERT_GT(entries.size(), 2u);
+  ASSERT_GT(entries[1].max_value, 0.0f);
+  entries[1].min_value = -entries[1].max_value;
+  // The last slot is GlobalAvgPool's: a trailer-supplied GAP range arms
+  // GAP-on-codes, which averages in code space and is not bit-identical to
+  // the staged walk (its own accuracy guard covers it), so leave it out.
+  entries.back().valid = false;
+  ASSERT_TRUE(net.LoadCalibration(entries));
+  ASSERT_NE(ComputeActivationQuant(entries[1].min_value, entries[1].max_value).zero_point, 0);
+  net.SetPrecision(Precision::kInt8);
+
+  for (int trial = 0; trial < 3; ++trial) {
+    Tensor input = RandomTensor(config.InputShape(), 110 + static_cast<uint64_t>(trial),
+                                0.0f, 1.0f);
+    Tensor staged = StagedForward(net, input);
+    Tensor zero_float = net.Forward(input);
+    ASSERT_GE(net.RequantLinkCount(), 2u);
+    ASSERT_TRUE(staged.shape() == zero_float.shape());
+    for (int64_t i = 0; i < staged.size(); ++i) {
+      ASSERT_EQ(staged[i], zero_float[i]) << "float entry, logit " << i << ", trial " << trial;
+    }
+
+    float lo = 0.0f;
+    float hi = 1.0f;
+    ASSERT_TRUE(net.layer(0).InputCalibration(&lo, &hi));
+    const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+    std::vector<uint8_t> codes(static_cast<size_t>(input.size()));
+    QuantizeActivations(input.data(), input.size(), quant, codes.data());
+    const QuantizedTensorView view{codes.data(), input.shape(), quant.scale, quant.zero_point};
+    Tensor staged_u8 = StagedForwardQuantized(net, view);
+    Tensor zero_float_u8 = net.ForwardQuantized(view);
+    for (int64_t i = 0; i < staged_u8.size(); ++i) {
+      ASSERT_EQ(staged_u8[i], zero_float_u8[i]) << "u8 entry, logit " << i << ", trial " << trial;
+    }
   }
 }
 
