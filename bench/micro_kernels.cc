@@ -9,13 +9,18 @@
 //
 // Self-timed via bench_common's BenchReport: every kernel runs a warmup
 // plus N repetitions and reports median + min; the pairs CI gates on run as
-// interleaved ABAB blocks. All results are written to
-// BENCH_micro_kernels.json for cross-PR perf tracking. Kernel-plan A/B rows
-// pin plans per layer with Conv2D::SetKernelPlan.
+// interleaved ABAB blocks. A full run writes BENCH_micro_kernels.json for
+// cross-PR perf tracking; a filtered run writes
+// BENCH_micro_kernels.filtered.json, so a partial run never replaces the
+// full snapshot. Kernel-plan A/B rows pin plans per layer with
+// Conv2D::SetKernelPlan. The inference-pool rows time the fork/join on its
+// own and the paper forward with and without a 3-worker pool.
 //
 // Usage: micro_kernels [--filter=substring] [--reps-scale=X]
 //   --filter      only run benches whose name contains the substring
 //   --reps-scale  multiply every rep count (0.1 for a quick CI smoke)
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -116,11 +121,21 @@ Network PlannedInt8ExperimentNet(std::optional<GatherPolicy> gather) {
   return net;
 }
 
+// Busy-waits until `deadline`: a sleep overshoots by more than the
+// microsecond gaps the pool rows schedule.
+void SpinUntil(std::chrono::steady_clock::time_point deadline) {
+  while (std::chrono::steady_clock::now() < deadline) {
+  }
+}
+
 void RunSuite(const Options& options) {
-  BenchReport report("micro_kernels");
+  BenchReport report(options.filter.empty() ? "micro_kernels" : "micro_kernels.filtered");
+  const auto selected = [&](const std::string& name) {
+    return options.filter.empty() || name.find(options.filter) != std::string::npos;
+  };
   auto bench = [&](const std::string& name, int reps, int64_t macs_per_rep,
                    const std::function<void()>& fn) {
-    if (!options.filter.empty() && name.find(options.filter) == std::string::npos) {
+    if (!selected(name)) {
       return;
     }
     reps = std::max(1, static_cast<int>(reps * options.reps_scale));
@@ -130,8 +145,7 @@ void RunSuite(const Options& options) {
   auto bench_pair = [&](const std::string& name_a, const std::function<void()>& fn_a,
                         const std::string& name_b, const std::function<void()>& fn_b,
                         int reps, int64_t macs_per_rep) {
-    if (!options.filter.empty() && name_a.find(options.filter) == std::string::npos &&
-        name_b.find(options.filter) == std::string::npos) {
+    if (!selected(name_a) && !selected(name_b)) {
       return;
     }
     reps = std::max(1, static_cast<int>(reps * options.reps_scale));
@@ -419,6 +433,73 @@ void RunSuite(const Options& options) {
     bench("percival_forward_paper", 3, macs, [&] { g_sink += net.Forward(input)[0]; });
   }
 
+  // Inference-pool fork/join wake-up cost: a 4-item ParallelFor of 20 us
+  // busy items on 3 workers, issued every 100 us. Each issue comes after
+  // the helpers' spin window has closed, so it times the parked path: the
+  // ideal is one item's 20 us, the excess is waking the workers. Only the
+  // ParallelFor is timed, not the idle gap.
+  if (selected("inference_pool_forkjoin_after_idle")) {
+    using Clock = std::chrono::steady_clock;
+    ThreadPool pool(3);
+    const int reps = std::max(1, static_cast<int>(400 * options.reps_scale));
+    std::vector<double> samples_ms;
+    Clock::time_point issue = Clock::now();
+    for (int rep = -1; rep < reps; ++rep) {  // rep -1 warms the pool
+      issue += std::chrono::microseconds(100);
+      SpinUntil(issue);
+      const Clock::time_point start = Clock::now();
+      pool.ParallelFor(4, [](int) { SpinUntil(Clock::now() + std::chrono::microseconds(20)); });
+      const double ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+      if (rep >= 0) {
+        samples_ms.push_back(ms);
+      }
+      // A slow rep must not leave the next issue inside the spin window.
+      issue = std::max(issue, Clock::now());
+    }
+    std::sort(samples_ms.begin(), samples_ms.end());
+    BenchTiming t;
+    t.name = "inference_pool_forkjoin_after_idle";
+    t.reps = reps;
+    t.median_ms = samples_ms[samples_ms.size() / 2];
+    t.min_ms = samples_ms.front();
+    report.Record(t);
+  }
+
+  {
+    // Pool scaling of the deployment forward: the calibrated paper-profile
+    // u8-direct forward with a 3-worker inference pool vs on the calling
+    // thread alone, interleaved. Identical logits either way.
+    PercivalNetConfig config = PaperProfile();
+    Network net = BuildPercivalNet(config);
+    net.SetTrainingMode(false);
+    net.SetCalibrationCapture(true);
+    net.Forward(RandomTensor(config.InputShape(), 5));
+    net.SetCalibrationCapture(false);
+    net.SetPrecision(Precision::kInt8);
+    const int64_t macs = net.ForwardMacs(config.InputShape());
+    Tensor input = RandomTensor(config.InputShape(), 3);
+    float lo = 0.0f;
+    float hi = 1.0f;
+    net.layer(0).InputCalibration(&lo, &hi);
+    const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+    std::vector<uint8_t> codes(static_cast<size_t>(input.size()));
+    QuantizeActivations(input.data(), input.size(), quant, codes.data());
+    const QuantizedTensorView view{codes.data(), input.shape(), quant.scale,
+                                   quant.zero_point};
+    net.PlanForward(view.shape);
+    // No inference pool is installed here, so only the _pool3 side uses one.
+    ThreadPool pool(3);
+    bench_pair(
+        "percival_forward_paper_int8_pool3",
+        [&] {
+          SetInferenceThreadPool(&pool);
+          g_sink += net.ForwardQuantized(view)[0];
+          SetInferenceThreadPool(nullptr);
+        },
+        "percival_forward_paper_int8_single", [&] { g_sink += net.ForwardQuantized(view)[0]; },
+        100, macs);
+  }
+
   {
     // Batched classification: one stacked forward for 8 creatives vs 8
     // separate Classify() calls over the same bitmaps, both under the pool.
@@ -526,7 +607,7 @@ void RunSuite(const Options& options) {
   if (!path.empty()) {
     std::printf("\nwrote %s\n", path.c_str());
   } else {
-    std::printf("\nWARNING: failed to write BENCH_micro_kernels.json\n");
+    std::printf("\nWARNING: failed to write the micro_kernels report\n");
   }
 
   // Serialized model sizes for the experiment profile: the v1 float

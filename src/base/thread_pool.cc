@@ -1,6 +1,12 @@
 #include "src/base/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
+#include <chrono>
+#include <memory>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "src/base/logging.h"
 
@@ -10,6 +16,67 @@ namespace {
 // Set for the lifetime of each worker thread; lets IsWorkerThread() answer
 // without any synchronization.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
+
+// How long a fork/join participant stays hot before it parks. A forward's
+// fan-outs follow each other within a few µs, while a condvar wake-up costs
+// tens of µs on a virtualized host; the window covers the first and is
+// short enough that an idle pool stops burning CPU almost at once.
+constexpr std::chrono::microseconds kSpinWindow{50};
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#endif
+}
+
+// Polls `ready` until it holds or kSpinWindow has passed; returns its last
+// answer. The clock is read once per batch of pauses.
+template <typename Ready>
+bool SpinUntil(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (;;) {
+    for (int i = 0; i < 16; ++i) {
+      if (ready()) {
+        return true;
+      }
+      CpuRelax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return ready();
+    }
+  }
+}
+
+// One ParallelFor's shared state. The completion count counts *iterations*,
+// not helpers: once every iteration has run, the caller returns even if
+// some helper tasks are still queued behind unrelated work (they find the
+// range drained and exit). That also means a caller that claims every
+// iteration itself never blocks on the pool, so fanning out while holding
+// a lock the workers contend on cannot deadlock. Shared (with a copy of
+// fn), because a straggler helper may outlive the caller's frame.
+struct ForkJoin {
+  std::function<void(int)> fn;
+  int count = 0;
+  std::atomic<int> next{0};
+  std::atomic<int> completed{0};
+  std::mutex mutex;  // orders the last notify after a parked caller's check
+  std::condition_variable done;
+
+  bool Finished() const { return completed.load(std::memory_order_acquire) == count; }
+
+  // The work-stealing loop the caller and every helper run.
+  void Drain() {
+    int ran = 0;
+    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < count;) {
+      fn(i);
+      ++ran;
+    }
+    if (ran > 0 && completed.fetch_add(ran, std::memory_order_acq_rel) + ran == count) {
+      std::lock_guard<std::mutex> lock(mutex);
+      done.notify_all();
+    }
+  }
+};
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -31,14 +98,25 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Enqueue(std::function<void()> fn, int copies, bool spin_after) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     PCHECK(!shutting_down_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
+    for (int c = 1; c < copies; ++c) {
+      queue_.push_back(Task{fn, spin_after});
+    }
+    queue_.push_back(Task{std::move(fn), spin_after});
+    in_flight_ += copies;
+    queued_.store(static_cast<int>(queue_.size()), std::memory_order_relaxed);
   }
-  work_available_.notify_one();
+  // Spinning workers are not waiting, so these wake only parked ones.
+  for (int c = 0; c < copies; ++c) {
+    work_available_.notify_one();
+  }
+}
+
+void ThreadPool::Submit(std::function<void()> task) {
+  Enqueue(std::move(task), 1, /*spin_after=*/false);
 }
 
 void ThreadPool::Wait() {
@@ -62,54 +140,30 @@ void ThreadPool::ParallelFor(int count, const std::function<void(int)>& fn) {
     return;
   }
 
-  // Work-stealing loop shared by the caller and the helpers. The latch
-  // counts completed *iterations*, not helper tasks: once every iteration
-  // has run, the caller returns even if some helper tasks are still queued
-  // behind unrelated work (they find the range drained and exit). That also
-  // means a caller that claims every iteration itself never blocks on the
-  // pool — so fanning out while holding a lock the workers contend on
-  // cannot deadlock. State (including a copy of fn) is shared, because a
-  // straggler helper may outlive this frame.
-  struct State {
-    std::function<void(int)> fn;
-    int count = 0;
-    std::atomic<int> next{0};
-    std::mutex mutex;
-    std::condition_variable done;
-    int completed = 0;
-  };
-  auto state = std::make_shared<State>();
+  auto state = std::make_shared<ForkJoin>();
   state->fn = fn;
   state->count = count;
-  auto drain = [](const std::shared_ptr<State>& s) {
-    int i;
-    int ran = 0;
-    while ((i = s->next.fetch_add(1)) < s->count) {
-      s->fn(i);
-      ++ran;
-    }
-    if (ran > 0) {
-      std::lock_guard<std::mutex> lock(s->mutex);
-      s->completed += ran;
-      if (s->completed == s->count) {
-        s->done.notify_all();
-      }
-    }
-  };
-
-  const int helpers = std::min(num_threads(), count) - 1;
-  for (int h = 0; h < helpers; ++h) {
-    Submit([state, drain] { drain(state); });
+  // The caller drains too, so count - 1 helpers already give every
+  // iteration its own thread.
+  const int helpers = std::min(num_threads(), count - 1);
+  Enqueue([state] { state->Drain(); }, helpers, /*spin_after=*/true);
+  state->Drain();
+  if (!SpinUntil([&state] { return state->Finished(); })) {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->done.wait(lock, [&state] { return state->Finished(); });
   }
-  drain(state);
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&state] { return state->completed == state->count; });
 }
 
 void ThreadPool::WorkerLoop() {
   tls_worker_pool = this;
+  bool hot = false;
   for (;;) {
-    std::function<void()> task;
+    if (hot) {
+      // The next fan-out of the same forward is usually microseconds away:
+      // catch it here instead of paying a condvar wake-up for it.
+      SpinUntil([this] { return queued_.load(std::memory_order_relaxed) > 0; });
+    }
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_available_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
@@ -118,8 +172,10 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
+      queued_.store(static_cast<int>(queue_.size()), std::memory_order_relaxed);
     }
-    task();
+    hot = task.spin_after;
+    task.fn();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;

@@ -157,24 +157,29 @@ void MaxPoolCodes(const uint8_t* in, int height, int width, int channels, int ke
                   int stride, uint8_t* out) {
   const int out_h = ConvOutputSize(height, kernel, stride, 0);
   const int out_w = ConvOutputSize(width, kernel, stride, 0);
-  for (int oh = 0; oh < out_h; ++oh) {
-    for (int ow = 0; ow < out_w; ++ow) {
-      uint8_t* dst = out + (static_cast<int64_t>(oh) * out_w + ow) * channels;
-      // Tap (0, 0) is always in bounds: it seeds the window's max.
-      const int ih0 = oh * stride;
-      const int iw0 = ow * stride;
-      std::memcpy(dst, in + (static_cast<int64_t>(ih0) * width + iw0) * channels,
-                  static_cast<size_t>(channels));
-      const int kh_end = std::min(kernel, height - ih0);
-      const int kw_end = std::min(kernel, width - iw0);
-      for (int kh = 0; kh < kh_end; ++kh) {
-        const uint8_t* src_row = in + static_cast<int64_t>(ih0 + kh) * width * channels;
-        for (int kw = kh == 0 ? 1 : 0; kw < kw_end; ++kw) {
-          MaxInto(dst, src_row + static_cast<int64_t>(iw0 + kw) * channels, channels);
+  // Output rows are independent: each reads its own window rows and writes
+  // its own output row, so the rows fan out over the inference pool.
+  const int64_t taps_per_row = static_cast<int64_t>(out_w) * kernel * kernel * channels;
+  InferenceParallelFor(out_h, taps_per_row, [&](int64_t row_begin, int64_t row_end) {
+    for (int oh = static_cast<int>(row_begin); oh < row_end; ++oh) {
+      for (int ow = 0; ow < out_w; ++ow) {
+        uint8_t* dst = out + (static_cast<int64_t>(oh) * out_w + ow) * channels;
+        // Tap (0, 0) is always in bounds: it seeds the window's max.
+        const int ih0 = oh * stride;
+        const int iw0 = ow * stride;
+        std::memcpy(dst, in + (static_cast<int64_t>(ih0) * width + iw0) * channels,
+                    static_cast<size_t>(channels));
+        const int kh_end = std::min(kernel, height - ih0);
+        const int kw_end = std::min(kernel, width - iw0);
+        for (int kh = 0; kh < kh_end; ++kh) {
+          const uint8_t* src_row = in + static_cast<int64_t>(ih0 + kh) * width * channels;
+          for (int kw = kh == 0 ? 1 : 0; kw < kw_end; ++kw) {
+            MaxInto(dst, src_row + static_cast<int64_t>(iw0 + kw) * channels, channels);
+          }
         }
       }
     }
-  }
+  });
 }
 
 void Axpy(int64_t n, float a, const float* src, float* dst) {

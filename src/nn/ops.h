@@ -52,7 +52,8 @@ void ReluCodes(const uint8_t* in, int64_t count, int32_t zero_point, uint8_t* ou
 
 // Max-pools one NHWC uint8 sample with edge-clipped windows (pad 0,
 // output size ConvOutputSize(dim, kernel, stride, 0)), matching
-// MaxPool2D::Forward. `out` must not alias `in`.
+// MaxPool2D::Forward. `out` must not alias `in`. Output rows fan out over
+// the inference pool when one is installed.
 void MaxPoolCodes(const uint8_t* in, int height, int width, int channels, int kernel,
                   int stride, uint8_t* out);
 

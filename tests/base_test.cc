@@ -2,7 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/base/hash.h"
 #include "src/base/rng.h"
@@ -133,6 +138,100 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   for (const auto& hit : hits) {
     EXPECT_EQ(hit.load(), 1);
   }
+}
+
+// The caller takes part, so a 4-item ParallelFor on 3 workers must run on 4
+// distinct threads at once: each item waits until all 4 have arrived.
+TEST(ThreadPoolTest, ParallelForUsesEveryWorker) {
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::condition_variable arrived;
+  std::set<std::thread::id> threads;
+  int timeouts = 0;
+  pool.ParallelFor(4, [&](int) {
+    std::unique_lock<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
+    arrived.notify_all();
+    if (!arrived.wait_for(lock, std::chrono::seconds(2), [&] { return threads.size() == 4; })) {
+      ++timeouts;
+    }
+  });
+  EXPECT_EQ(timeouts, 0) << "only " << threads.size() << " threads took part";
+}
+
+// A fan-out issued long after the spin window has closed finds every
+// worker parked on the condvar and must still cover its range once.
+TEST(ThreadPoolTest, ParallelForAfterIdleCoversRange) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<std::atomic<int>> hits(64);
+    pool.ParallelFor(64, [&hits](int i) { hits[static_cast<size_t>(i)].fetch_add(1); });
+    for (const auto& hit : hits) {
+      ASSERT_EQ(hit.load(), 1) << "round " << round;
+    }
+  }
+}
+
+// Two external callers fan out back to back into one pool, so hot helpers
+// of one call pick up the other's tasks; each range is covered exactly once
+// per call. Counts 2..8 exercise fewer helpers than workers too.
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRange) {
+  ThreadPool pool(3);
+  std::atomic<int> bad_calls{0};
+  auto caller = [&] {
+    std::vector<std::atomic<int>> hits(8);
+    for (int call = 0; call < 2000; ++call) {
+      const int count = 2 + call % 7;
+      for (auto& hit : hits) {
+        hit.store(0);
+      }
+      pool.ParallelFor(count, [&hits](int i) { hits[static_cast<size_t>(i)].fetch_add(1); });
+      for (int i = 0; i < 8; ++i) {
+        if (hits[static_cast<size_t>(i)].load() != (i < count ? 1 : 0)) {
+          bad_calls.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::thread a(caller);
+  std::thread b(caller);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_calls.load(), 0);
+}
+
+// Destroying a pool right after a fan-out, while its helpers are still in
+// their spin window, must join them promptly.
+TEST(ThreadPoolTest, DestroyWhileWorkersSpinReturnsPromptly) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    ThreadPool pool(3);
+    std::atomic<int> ran{0};
+    pool.ParallelFor(8, [&ran](int) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 8);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+// From inside a worker a ParallelFor runs inline on that worker.
+TEST(ThreadPoolTest, ParallelForFromWorkerRunsInline) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  std::atomic<int> elsewhere{0};
+  pool.Submit([&] {
+    const std::thread::id self = std::this_thread::get_id();
+    pool.ParallelFor(16, [&](int) {
+      ran.fetch_add(1);
+      if (std::this_thread::get_id() != self) {
+        elsewhere.fetch_add(1);
+      }
+    });
+  });
+  pool.Wait();
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ThreadPoolTest, NestedSubmissionCompletes) {

@@ -7,7 +7,9 @@
 // oracle: ForwardUpTo over every layer, or the layer(0).ForwardQuantized
 // loop on the u8 entry) — including a ReLU folded into its emitter under a
 // non-zero zero point — the code transforms (MaxPoolCodes, ReluCodes)
-// against scalar oracles, a steady-state counter proof that a planned frame
+// against scalar oracles (the max-pool also fanned out over an inference
+// pool), bit-identical paper-profile logits with no pool, a 1-worker and a
+// 3-worker pool, a steady-state counter proof that a planned frame
 // allocates no float activation tensor and no heap between codes-in and
 // logits-out, and the 64-image float-vs-int8 accuracy guard re-run with the
 // plan active.
@@ -15,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -190,32 +193,41 @@ std::vector<uint8_t> ReferenceMaxPoolCodes(const uint8_t* in, int height, int wi
 // The vectorized code max-pool against the scalar oracle, through
 // MaxPool2D::ForwardCodes on a batch of 2: odd and even spatial sizes, the
 // 3/2 window BuildOriginalSqueezeNet uses and the 2/2 one BuildPercivalNet
-// uses, and channel counts below, between and at vector widths.
+// uses, and channel counts below, between and at vector widths. Run on the
+// calling thread and under a 3-worker inference pool, where the 57x55 maps
+// fan their output rows out (odd sizes, so the last windows clip).
 TEST(CodeTransformTest, MaxPoolCodesMatchesScalarOracle) {
   Rng rng(61);
-  for (const auto& [kernel, stride] : std::vector<std::pair<int, int>>{{3, 2}, {2, 2}}) {
-    for (const int channels : {3, 17, 64}) {
-      for (const auto& [h, w] : std::vector<std::pair<int, int>>{{7, 9}, {13, 5}, {8, 8}}) {
-        const TensorShape shape{2, h, w, channels};
-        std::vector<uint8_t> in(static_cast<size_t>(shape.Elements()));
-        for (auto& v : in) {
-          v = static_cast<uint8_t>(rng.NextBelow(256));
-        }
-        MaxPool2D pool(kernel, stride);
-        pool.SetTrainingMode(false);
-        const TensorShape out_shape = pool.OutputShape(shape);
-        std::vector<uint8_t> out(static_cast<size_t>(out_shape.Elements()), 0xAA);
-        pool.ForwardCodes(QuantizedTensorView{in.data(), shape, 0.1f, 7}, out.data());
-        const size_t in_sample = static_cast<size_t>(h) * w * channels;
-        const size_t out_sample = out.size() / 2;
-        for (int n = 0; n < 2; ++n) {
-          const std::vector<uint8_t> expected = ReferenceMaxPoolCodes(
-              in.data() + n * in_sample, h, w, channels, kernel, stride);
-          ASSERT_EQ(expected.size(), out_sample);
-          for (size_t i = 0; i < out_sample; ++i) {
-            ASSERT_EQ(out[n * out_sample + i], expected[i])
-                << "k" << kernel << "/s" << stride << " " << h << "x" << w << "x" << channels
-                << " sample " << n << " at " << i;
+  for (const int threads : {0, 3}) {
+    std::optional<ScopedInferencePool> inference;
+    if (threads > 0) {
+      inference.emplace(threads);
+    }
+    for (const auto& [kernel, stride] : std::vector<std::pair<int, int>>{{3, 2}, {2, 2}}) {
+      for (const int channels : {3, 17, 64}) {
+        for (const auto& [h, w] :
+             std::vector<std::pair<int, int>>{{7, 9}, {13, 5}, {8, 8}, {57, 55}}) {
+          const TensorShape shape{2, h, w, channels};
+          std::vector<uint8_t> in(static_cast<size_t>(shape.Elements()));
+          for (auto& v : in) {
+            v = static_cast<uint8_t>(rng.NextBelow(256));
+          }
+          MaxPool2D pool(kernel, stride);
+          pool.SetTrainingMode(false);
+          const TensorShape out_shape = pool.OutputShape(shape);
+          std::vector<uint8_t> out(static_cast<size_t>(out_shape.Elements()), 0xAA);
+          pool.ForwardCodes(QuantizedTensorView{in.data(), shape, 0.1f, 7}, out.data());
+          const size_t in_sample = static_cast<size_t>(h) * w * channels;
+          const size_t out_sample = out.size() / 2;
+          for (int n = 0; n < 2; ++n) {
+            const std::vector<uint8_t> expected = ReferenceMaxPoolCodes(
+                in.data() + n * in_sample, h, w, channels, kernel, stride);
+            ASSERT_EQ(expected.size(), out_sample);
+            for (size_t i = 0; i < out_sample; ++i) {
+              ASSERT_EQ(out[n * out_sample + i], expected[i])
+                  << "k" << kernel << "/s" << stride << " " << h << "x" << w << "x" << channels
+                  << " sample " << n << " at " << i << ", " << threads << " pool threads";
+            }
           }
         }
       }
@@ -453,6 +465,40 @@ TEST(DataflowPlanTest, SteadyStateAllocatesNoFloatActivationTensor) {
       static_cast<uint64_t>(logits.size()) * 16;  // conv_final map is tiny vs any feature map
   EXPECT_LE(after.elements - before.elements, tail_elements + 64)
       << "a float activation tensor was allocated between codes and logits";
+}
+
+// The inference pool changes which thread computes each row, never the
+// arithmetic: the calibrated paper-profile u8-direct forward gives the same
+// logits, bit for bit, on the calling thread alone, under a 1-worker pool
+// and under a 3-worker pool that fans out every conv, fire and code
+// max-pool.
+TEST(DataflowPlanTest, PaperProfileLogitsIdenticalAcrossInferencePools) {
+  const PercivalNetConfig config = PaperProfile();
+  Network net = BuildPercivalNet(config);
+  net.SetTrainingMode(false);
+  Calibrate(net, config.InputShape());
+  net.SetPrecision(Precision::kInt8);
+
+  float lo = 0.0f;
+  float hi = 1.0f;
+  ASSERT_TRUE(net.layer(0).InputCalibration(&lo, &hi));
+  const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+  Tensor input = RandomTensor(config.InputShape(), 98, 0.0f, 1.0f);
+  std::vector<uint8_t> codes(static_cast<size_t>(input.size()));
+  QuantizeActivations(input.data(), input.size(), quant, codes.data());
+  const QuantizedTensorView view{codes.data(), input.shape(), quant.scale, quant.zero_point};
+
+  ASSERT_EQ(InferenceThreadPool(), nullptr);
+  const Tensor single = net.ForwardQuantized(view);
+  ASSERT_GE(net.RequantLinkCount(), 2u);
+  for (const int threads : {1, 3}) {
+    ScopedInferencePool pool(threads);
+    const Tensor pooled = net.ForwardQuantized(view);
+    ASSERT_TRUE(pooled.shape() == single.shape());
+    for (int64_t i = 0; i < single.size(); ++i) {
+      ASSERT_EQ(pooled[i], single[i]) << threads << "-worker pool, logit " << i;
+    }
+  }
 }
 
 // -------------------------------------------------------- accuracy guard --
