@@ -32,10 +32,6 @@ inline constexpr const char kSlowForward[] = "nn.forward.slow";
 inline constexpr const char kArenaAllocFail[] = "nn.arena.alloc_fail";
 inline constexpr const char kArtifactCorrupt[] = "serialize.artifact.corrupt";
 inline constexpr const char kQueueSaturate[] = "classifier.queue.saturate";
-// Fails a shard's weight reload before any file IO happens — distinct from
-// kArtifactCorrupt (which corrupts the bytes of EVERY read) so a test can
-// fail exactly one tenant's reload while the other shards reload cleanly.
-inline constexpr const char kShardReloadFail[] = "serve.shard.reload_fail";
 
 struct FaultSpec {
   // Number of firings before the fault auto-disarms; < 0 fires until

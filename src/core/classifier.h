@@ -29,8 +29,8 @@
 namespace percival {
 
 // ClassifyResult, ServingPolicy, and ClassifierStats moved to
-// src/serve/policy.h (shared with the sans-IO ServingEngine and the shard
-// router); this header re-exports them via the include above.
+// src/serve/policy.h (shared with the sans-IO ServingEngine); this header
+// re-exports them via the include above.
 
 class AdClassifier : public ImageInterceptor {
  public:

@@ -36,12 +36,6 @@ std::string ModelZoo::QuantizedPath(const std::string& name) const {
   return directory_ + "/" + name + ".int8.pcvw";
 }
 
-bool ModelZoo::HasCached(const std::string& name) const {
-  std::error_code ec;
-  return std::filesystem::exists(CheckpointPath(name), ec) ||
-         std::filesystem::exists(QuantizedPath(name), ec);
-}
-
 namespace {
 
 // Loads `path` into `net`, separating "no file" (expected cache miss) from

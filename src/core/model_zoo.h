@@ -39,11 +39,6 @@ class ModelZoo {
   // artifact (tests).
   void Evict(const std::string& name);
 
-  // True when a cached artifact (either format) exists for `name` — the
-  // shard router uses this to report cold vs warm shard bring-up without
-  // racing the load itself.
-  bool HasCached(const std::string& name) const;
-
   // Artifact locations for `name`. Public so deployment wrappers can point
   // AdClassifier::LoadWeights (and its retry/backoff variant) at a zoo
   // entry, and so the serving robustness suite can corrupt an artifact at

@@ -5,7 +5,6 @@
 
 #include "src/base/logging.h"
 #include "src/nn/gemm.h"
-#include "src/nn/ops.h"
 
 namespace percival {
 
@@ -47,13 +46,6 @@ void Relu::SetMaskFromOutput(const Tensor& output) {
       mask_[static_cast<size_t>(i)] = 1;
     }
   }
-}
-
-void Relu::ForwardCodes(const QuantizedTensorView& input, uint8_t* out) {
-  PCHECK(!training_) << "relu ForwardCodes in training mode";
-  input_shape_ = input.shape;
-  mask_.clear();
-  ReluCodes(input.data, input.shape.Elements(), input.zero_point, out);
 }
 
 Tensor Relu::Backward(const Tensor& grad_output) {

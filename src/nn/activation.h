@@ -23,11 +23,10 @@ class Relu : public Layer {
   // is exactly the backward state an inference deployment never reads.
   void SetMaskFromOutput(const Tensor& output);
 
-  // relu(code) = max(code, zero_point) exactly (quantize(0) == zp), but it
-  // skips the backward mask — eval mode only.
-  bool SupportsCodeTransform() const override { return !training_; }
+  // relu(code) = max(code, zero_point) exactly (quantize(0) == zp), so in
+  // eval mode the planner folds a ReLU directly after an emitter into the
+  // emitter's requant store; a ReLU anywhere else ends the code chain.
   bool IsReluCodeTransform() const override { return !training_; }
-  void ForwardCodes(const QuantizedTensorView& input, uint8_t* out) override;
 
  private:
   std::vector<uint8_t> mask_;  // 1 where input > 0

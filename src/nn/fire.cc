@@ -118,8 +118,9 @@ size_t FireModule::ConsumeCalibration(const ActivationCalibration* entries, size
 }
 
 bool FireModule::AcceptsQuantizedInput() const {
+  ActivationQuant hop;
   return use_fused_ && squeeze_.AcceptsQuantizedInput() && expand1x1_.AcceptsQuantizedInput() &&
-         expand3x3_.AcceptsQuantizedInput();
+         expand3x3_.AcceptsQuantizedInput() && QuantizedSqueezeHop(&hop);
 }
 
 bool FireModule::QuantizedSqueezeHop(ActivationQuant* hop_quant) const {
@@ -135,103 +136,60 @@ bool FireModule::QuantizedSqueezeHop(ActivationQuant* hop_quant) const {
   return true;
 }
 
-Tensor FireModule::ForwardQuantized(const QuantizedTensorView& input) {
+QuantizedTensorView FireModule::SqueezeToCodes(const Tensor* float_in,
+                                               const QuantizedTensorView* code_in) {
+  PCHECK((float_in != nullptr) != (code_in != nullptr));
   PCHECK(AcceptsQuantizedInput()) << Name() << " cannot run quantized";
-  const TensorShape out_shape = OutputShape(input.shape);
-  const TensorShape squeezed_shape{input.shape.n, input.shape.h, input.shape.w,
-                                   squeeze_channels_};
-  Tensor joined(out_shape);
-  const int64_t ldc = out_shape.c;
-  const int64_t sample_stride = static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
+  ActivationQuant hop;
+  QuantizedSqueezeHop(&hop);
+  const TensorShape& in_shape = float_in != nullptr ? float_in->shape() : code_in->shape;
+  const TensorShape squeezed_shape{in_shape.n, in_shape.h, in_shape.w, squeeze_channels_};
   const int64_t squeezed_stride =
       static_cast<int64_t>(squeezed_shape.h) * squeezed_shape.w * squeeze_channels_;
-  ActivationQuant hop;
-  if (QuantizedSqueezeHop(&hop)) {
-    squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
-    squeeze_.ForwardQuantizedIntoU8(input, GemmEpilogue::kBiasRelu, hop,
-                                    squeezed_codes_.data(), squeeze_channels_, squeezed_stride);
-    QuantizedTensorView squeezed{squeezed_codes_.data(), squeezed_shape, hop.scale,
-                                 hop.zero_point};
-    expand1x1_.ForwardQuantizedInto(squeezed, GemmEpilogue::kBiasRelu, joined.data(), ldc,
-                                    sample_stride);
-    expand3x3_.ForwardQuantizedInto(squeezed, GemmEpilogue::kBiasRelu,
-                                    joined.data() + expand_channels_, ldc, sample_stride);
+  squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
+  if (float_in != nullptr) {
+    squeeze_.ForwardIntoU8(*float_in, GemmEpilogue::kBiasRelu, hop, squeezed_codes_.data(),
+                           squeeze_channels_, squeezed_stride);
   } else {
-    Tensor squeezed(squeezed_shape);
-    squeeze_.ForwardQuantizedInto(input, GemmEpilogue::kBiasRelu, squeezed.data(),
-                                  squeeze_channels_, squeezed_stride);
-    expand1x1_.ForwardInto(squeezed, GemmEpilogue::kBiasRelu, joined.data(), ldc,
-                           sample_stride);
-    expand3x3_.ForwardInto(squeezed, GemmEpilogue::kBiasRelu,
-                           joined.data() + expand_channels_, ldc, sample_stride);
+    squeeze_.ForwardQuantizedIntoU8(*code_in, GemmEpilogue::kBiasRelu, hop,
+                                    squeezed_codes_.data(), squeeze_channels_, squeezed_stride);
   }
+  return QuantizedTensorView{squeezed_codes_.data(), squeezed_shape, hop.scale, hop.zero_point};
+}
+
+void FireModule::ExpandToCodes(const QuantizedTensorView& squeezed, float out_scale,
+                               int32_t out_zero_point, uint8_t* out) {
+  const ActivationQuant out_quant{out_scale, out_zero_point};
+  const int64_t ldc = out_channels();
+  const int64_t sample_stride = static_cast<int64_t>(squeezed.shape.h) * squeezed.shape.w * ldc;
+  expand1x1_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
+                                    sample_stride);
+  expand3x3_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
+                                    out + expand_channels_, ldc, sample_stride);
+}
+
+Tensor FireModule::ForwardQuantized(const QuantizedTensorView& input) {
+  const QuantizedTensorView squeezed = SqueezeToCodes(nullptr, &input);
+  Tensor joined(OutputShape(input.shape));
+  const int64_t ldc = out_channels();
+  const int64_t sample_stride = static_cast<int64_t>(squeezed.shape.h) * squeezed.shape.w * ldc;
+  expand1x1_.ForwardQuantizedInto(squeezed, GemmEpilogue::kBiasRelu, joined.data(), ldc,
+                                  sample_stride);
+  expand3x3_.ForwardQuantizedInto(squeezed, GemmEpilogue::kBiasRelu,
+                                  joined.data() + expand_channels_, ldc, sample_stride);
   return joined;
 }
 
 void FireModule::ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
                                 bool relu, uint8_t* out) {
   (void)relu;
-  PCHECK(AcceptsQuantizedInput()) << Name() << " cannot emit quantized codes";
-  const TensorShape out_shape = OutputShape(input.shape());
-  const TensorShape squeezed_shape{input.shape().n, input.shape().h, input.shape().w,
-                                   squeeze_channels_};
-  const ActivationQuant out_quant{out_scale, out_zero_point};
-  const int64_t ldc = out_shape.c;
-  const int64_t sample_stride = static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
-  const int64_t squeezed_stride =
-      static_cast<int64_t>(squeezed_shape.h) * squeezed_shape.w * squeeze_channels_;
-  ActivationQuant hop;
-  if (QuantizedSqueezeHop(&hop)) {
-    squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
-    squeeze_.ForwardIntoU8(input, GemmEpilogue::kBiasRelu, hop, squeezed_codes_.data(),
-                           squeeze_channels_, squeezed_stride);
-    QuantizedTensorView squeezed{squeezed_codes_.data(), squeezed_shape, hop.scale,
-                                 hop.zero_point};
-    expand1x1_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                                      sample_stride);
-    expand3x3_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                                      out + expand_channels_, ldc, sample_stride);
-  } else {
-    Tensor squeezed = squeeze_.ForwardFused(input, GemmEpilogue::kBiasRelu);
-    expand1x1_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                             sample_stride);
-    expand3x3_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                             out + expand_channels_, ldc, sample_stride);
-  }
+  ExpandToCodes(SqueezeToCodes(&input, nullptr), out_scale, out_zero_point, out);
 }
 
 void FireModule::ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
                                          int32_t out_zero_point, bool relu, uint8_t* out) {
   (void)relu;
-  PCHECK(AcceptsQuantizedInput()) << Name() << " cannot emit quantized codes";
-  const TensorShape out_shape = OutputShape(input.shape);
-  const TensorShape squeezed_shape{input.shape.n, input.shape.h, input.shape.w,
-                                   squeeze_channels_};
-  const ActivationQuant out_quant{out_scale, out_zero_point};
-  const int64_t ldc = out_shape.c;
-  const int64_t sample_stride = static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
-  const int64_t squeezed_stride =
-      static_cast<int64_t>(squeezed_shape.h) * squeezed_shape.w * squeeze_channels_;
-  ActivationQuant hop;
-  if (QuantizedSqueezeHop(&hop)) {
-    squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
-    squeeze_.ForwardQuantizedIntoU8(input, GemmEpilogue::kBiasRelu, hop,
-                                    squeezed_codes_.data(), squeeze_channels_, squeezed_stride);
-    QuantizedTensorView squeezed{squeezed_codes_.data(), squeezed_shape, hop.scale,
-                                 hop.zero_point};
-    expand1x1_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                                      sample_stride);
-    expand3x3_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                                      out + expand_channels_, ldc, sample_stride);
-  } else {
-    Tensor squeezed(squeezed_shape);
-    squeeze_.ForwardQuantizedInto(input, GemmEpilogue::kBiasRelu, squeezed.data(),
-                                  squeeze_channels_, squeezed_stride);
-    expand1x1_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                             sample_stride);
-    expand3x3_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                             out + expand_channels_, ldc, sample_stride);
-  }
+  ExpandToCodes(SqueezeToCodes(nullptr, &input), out_scale, out_zero_point, out);
 }
 
 Tensor FireModule::Forward(const Tensor& input) {

@@ -72,14 +72,14 @@ class FireModule : public Layer {
     return squeeze_.InputCalibration(min_value, max_value);
   }
 
-  // Zero-float dataflow: the fused module consumes and emits uint8 codes.
-  // When both expand convs carry a calibrated (shared) input range, the
-  // squeeze->expand hop is quantized too — squeeze requant-emits into the
-  // persistent `squeezed_codes_` buffer and the expands read codes, so the
-  // module runs bitmap-codes in, concat-codes out with no float activation
-  // tensor. Without expand calibration the hop falls back to a float
-  // squeezed tensor (the expands quantize it themselves), which keeps code
-  // emission available whenever the convs are int8-eval.
+  // Zero-float dataflow: the fused module consumes and emits uint8 codes
+  // when its convs are int8-eval and both expand convs carry a calibrated,
+  // equal input range. Its squeeze->expand hop is then quantized too —
+  // squeeze requant-emits into the persistent `squeezed_codes_` buffer and
+  // the expands read codes, so the module runs codes in, concat-codes out
+  // with no float activation tensor. Without agreeing expand ranges the
+  // module neither consumes nor emits codes: the planner leaves it unlinked
+  // and it runs its float Forward, exactly as in the staged walk.
   bool AcceptsQuantizedInput() const override;
   Tensor ForwardQuantized(const QuantizedTensorView& input) override;
   // Both expands already store through kBiasRelu, so a folded trailing
@@ -105,8 +105,17 @@ class FireModule : public Layer {
   Tensor ForwardReference(const Tensor& input);
   // True (filling *hop_quant) when the squeeze->expand hop can run
   // quantized: both expand calibrations valid and equal (they observe the
-  // same squeezed tensor, so capture and the trailer always agree).
+  // same squeezed tensor, so capture and a full trailer always agree).
   bool QuantizedSqueezeHop(ActivationQuant* hop_quant) const;
+  // The hop shared by every code entry: squeeze + ReLU from either entry
+  // (exactly one of `float_in` / `code_in` is non-null) requantizes straight
+  // into `squeezed_codes_` under the expands' input quantization; returns
+  // the view the expands read.
+  QuantizedTensorView SqueezeToCodes(const Tensor* float_in, const QuantizedTensorView* code_in);
+  // Both expands requant-store relu(conv + bias) into their channel halves
+  // of the concat codes `out`.
+  void ExpandToCodes(const QuantizedTensorView& squeezed, float out_scale,
+                     int32_t out_zero_point, uint8_t* out);
 
   int squeeze_channels_;
   int expand_channels_;

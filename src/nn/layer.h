@@ -147,16 +147,17 @@ class Layer {
   //     the consumer layer's calibrated input quant — via ForwardToCodes
   //     (float input) / ForwardQuantizedToCodes (code input). `out` receives
   //     OutputShape(input).Elements() dense NHWC codes.
-  //   * TRANSFORMS (eval ReLU, MaxPool) are quantization-preserving maps on
-  //     codes: quantization is monotone, so max-based ops commute with it
-  //     exactly (relu(code) = max(code, zp) because quantize(0) == zp).
-  //     ForwardCodes rewrites input codes to output codes under the SAME
-  //     (scale, zero_point). A ReLU transform directly after an emitter is
-  //     folded into it instead: the emitter gets `relu` = true and applies
-  //     max(v, 0) before its requant store, which yields the same codes
-  //     (quantize(max(v, 0)) == max(quantize(v), zp)) without a code pass.
-  //   * everything else breaks the code chain and the network falls back to
-  //     the float path at that point.
+  //   * TRANSFORMS (eval MaxPool) are quantization-preserving maps on
+  //     codes: quantization is monotone, so a window's max code is the code
+  //     of its max value. ForwardCodes rewrites input codes to output codes
+  //     under the SAME (scale, zero_point).
+  //   * a FOLDABLE ReLU (eval mode, IsReluCodeTransform) directly after an
+  //     emitter folds into it: the emitter gets `relu` = true and applies
+  //     max(v, 0) before its requant store, which yields exactly the codes
+  //     a ReLU pass would (quantize(max(v, 0)) == max(quantize(v), zp)).
+  //   * everything else — including a ReLU anywhere but directly after an
+  //     emitter — breaks the code chain and the network falls back to the
+  //     float path at that point.
   // Scale/zero-point travel as plain scalars so this header stays
   // independent of the GEMM engine's ActivationQuant. Defaults fail loudly;
   // the planner only routes codes at layers that advertise support.
@@ -180,8 +181,8 @@ class Layer {
     PCHECK(false) << Name() << " cannot emit quantized codes";
   }
   virtual bool SupportsCodeTransform() const { return false; }
-  // True for a transform that is exactly max(code, zp) — the one the
-  // planner folds into a preceding emitter.
+  // True for a layer that is exactly max(code, zp) on codes — the one the
+  // planner folds into a directly preceding emitter.
   virtual bool IsReluCodeTransform() const { return false; }
   virtual void ForwardCodes(const QuantizedTensorView& input, uint8_t* out) {
     (void)input;

@@ -51,66 +51,49 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
   if (!eligible) {
     return;
   }
-  // Walk the layer list linking emitters to consumers. `codes_live` tracks
-  // whether layer i's input arrives as uint8 codes under the current plan.
+  // Walk the layer list linking emitters to consumers.
   size_t max_code_bytes = 0;
-  bool codes_live = false;
   size_t i = 0;
   while (i < layers_.size()) {
-    bool linked = false;
-    if (layers_[i]->CanEmitQuantizedCodes()) {
-      // The link holds if every layer until the next non-transform is a
-      // code transform and that consumer takes quantized input with a
-      // calibrated range (the range supplies the emit quantization).
-      size_t j = i + 1;
-      while (j < layers_.size() && layers_[j]->SupportsCodeTransform()) {
-        ++j;
-      }
-      float min_value = 0.0f;
-      float max_value = 0.0f;
-      if (j < layers_.size() && layers_[j]->AcceptsQuantizedInput() &&
-          layers_[j]->InputCalibration(&min_value, &max_value)) {
-        const ActivationQuant quant = ComputeActivationQuant(min_value, max_value);
-        dataflow_[i].mode = DataflowStep::Mode::kEmit;
-        dataflow_[i].scale = quant.scale;
-        dataflow_[i].zero_point = quant.zero_point;
-        dataflow_[i].relu = i + 1 < j && layers_[i + 1]->IsReluCodeTransform();
-        for (size_t t = i; t < j; ++t) {
-          dataflow_[t].out_shape = layers_[t]->OutputShape(input_shapes[t]);
-          if (t > i) {
-            dataflow_[t].mode = t == i + 1 && dataflow_[i].relu
-                                    ? DataflowStep::Mode::kFolded
-                                    : DataflowStep::Mode::kTransform;
-          }
-          max_code_bytes = std::max(
-              max_code_bytes, static_cast<size_t>(dataflow_[t].out_shape.Elements()));
-        }
-        codes_live = true;
-        linked = true;
-        i = j;  // the consumer decides next: extend the chain or break it
-      }
+    // A link needs an emitter, an optional ReLU directly after it (folded
+    // into its requant store), then only code transforms up to a consumer
+    // that takes quantized input with a calibrated range (the range supplies
+    // the emit quantization). A ReLU anywhere else ends the chain.
+    const bool relu = i + 1 < layers_.size() && layers_[i + 1]->IsReluCodeTransform();
+    size_t j = relu ? i + 2 : i + 1;
+    while (j < layers_.size() && layers_[j]->SupportsCodeTransform()) {
+      ++j;
     }
-    if (!linked) {
+    float min_value = 0.0f;
+    float max_value = 0.0f;
+    if (!layers_[i]->CanEmitQuantizedCodes() || j >= layers_.size() ||
+        !layers_[j]->AcceptsQuantizedInput() ||
+        !layers_[j]->InputCalibration(&min_value, &max_value)) {
       // Layer i runs unlinked: float layer, or a consumer that terminates
       // the chain (RunDataflow hands it the codes via ForwardQuantized).
-      codes_live = false;
       ++i;
+      continue;
     }
+    const ActivationQuant quant = ComputeActivationQuant(min_value, max_value);
+    dataflow_[i].mode = DataflowStep::Mode::kEmit;
+    dataflow_[i].scale = quant.scale;
+    dataflow_[i].zero_point = quant.zero_point;
+    dataflow_[i].relu = relu;
+    for (size_t t = i; t < j; ++t) {
+      dataflow_[t].out_shape = layers_[t]->OutputShape(input_shapes[t]);
+      if (t > i) {
+        dataflow_[t].mode = t == i + 1 && relu ? DataflowStep::Mode::kFolded
+                                               : DataflowStep::Mode::kTransform;
+      }
+      max_code_bytes =
+          std::max(max_code_bytes, static_cast<size_t>(dataflow_[t].out_shape.Elements()));
+    }
+    i = j;  // the consumer decides next: extend the chain or break it
   }
-  (void)codes_live;
   if (max_code_bytes > 0) {
     code_buffers_[0].resize(max_code_bytes);
     code_buffers_[1].resize(max_code_bytes);
   }
-}
-
-bool Network::DataflowActive() const {
-  for (const DataflowStep& step : dataflow_) {
-    if (step.mode == DataflowStep::Mode::kEmit) {
-      return true;
-    }
-  }
-  return false;
 }
 
 size_t Network::RequantLinkCount() const {

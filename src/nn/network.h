@@ -64,15 +64,18 @@ class Network {
   // Zero-float dataflow plan, chosen by PlanForward alongside the kernel
   // plans. In int8 eval mode (outside calibration capture) the planner
   // links each code-emitting layer to its downstream consumer: when the
-  // layers between them are all code transforms (eval ReLU / MaxPool) and
-  // the consumer both accepts quantized input and carries a calibrated
-  // input range, the emitter's GEMM epilogue requantizes straight to the
-  // consumer's uint8 codes and the chain runs through network-owned
-  // ping-pong code buffers — no float activation tensor and no per-forward
-  // heap allocation between the linked layers. A ReLU directly after an
-  // emitter folds into the emitter's requant epilogue (kBiasRelu), so its
-  // code pass disappears. Layers outside a link run the float path unchanged,
-  // so uncalibrated models run the float-staged walk. That staged walk is
+  // layers between them are an optional ReLU directly after the emitter,
+  // then only code transforms (eval MaxPool), and the consumer both accepts
+  // quantized input and carries a calibrated input range, the emitter's
+  // GEMM epilogue requantizes straight to the consumer's uint8 codes and
+  // the chain runs through network-owned ping-pong code buffers — no float
+  // activation tensor and no per-forward heap allocation between the linked
+  // layers. That ReLU folds into the emitter's requant epilogue (kBiasRelu);
+  // ReLU has no code pass of its own, so a ReLU anywhere else ends the
+  // chain. A fire module links only when its two expand ranges are
+  // calibrated and equal (its squeeze->expand hop then runs on codes too).
+  // Layers outside a link run the float path unchanged, so uncalibrated
+  // models run the float-staged walk. That staged walk is
   // also the test oracle for this plan: ForwardUpTo(x, LayerCount()) runs
   // it on the float entry, and layer(0).ForwardQuantized followed by
   // per-layer Forward runs it on the u8 entry. Forward/ForwardQuantized
@@ -156,7 +159,7 @@ class Network {
   };
 
   void PlanDataflow(const std::vector<TensorShape>& input_shapes);
-  bool DataflowActive() const;
+  bool DataflowActive() const { return RequantLinkCount() > 0; }
   // Runs the planned layer walk. Exactly one of `float_in` / `code_in` is
   // non-null: the float entry (Forward) or the u8-direct entry
   // (ForwardQuantized, codes live from layer 0).

@@ -130,15 +130,6 @@ void Col2Im(const float* columns, int height, int width, int channels, int kerne
   }
 }
 
-void ReluCodes(const uint8_t* in, int64_t count, int32_t zero_point, uint8_t* out) {
-  const uint8_t zp = static_cast<uint8_t>(std::min<int32_t>(255, std::max<int32_t>(0, zero_point)));
-  // Branch-free so the baseline build emits pmaxub; elementwise, so
-  // in == out stays safe.
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = std::max(in[i], zp);
-  }
-}
-
 namespace {
 
 // dst[c] = max(dst[c], src[c]). The __restrict promise (a pool window tap

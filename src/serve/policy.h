@@ -1,9 +1,9 @@
 // Serving policy + observability types shared by every layer of the serving
-// stack: the sans-IO ServingEngine (src/serve/engine.h), the IO-ful
-// AdClassifier / AsyncAdClassifier adapters (src/core/classifier.h), and the
-// sharded multi-model router (src/serve/shard_router.h). This header is
-// deliberately leaf-level — bitmap/network/threading types never appear —
-// so a host can configure the engine without pulling in our runtime.
+// stack: the sans-IO ServingEngine (src/serve/engine.h) and the IO-ful
+// AdClassifier / AsyncAdClassifier adapters (src/core/classifier.h). This
+// header is deliberately leaf-level — bitmap/network/threading types never
+// appear — so a host can configure the engine without pulling in our
+// runtime.
 #ifndef PERCIVAL_SRC_SERVE_POLICY_H_
 #define PERCIVAL_SRC_SERVE_POLICY_H_
 

@@ -6,9 +6,10 @@
 // logits between the zero-float plan and the float-staged int8 walk (the
 // oracle: ForwardUpTo over every layer, or the layer(0).ForwardQuantized
 // loop on the u8 entry) — including a ReLU folded into its emitter under a
-// non-zero zero point — the code transforms (MaxPoolCodes, ReluCodes)
-// against scalar oracles (the max-pool also fanned out over an inference
-// pool), bit-identical paper-profile logits with no pool, a 1-worker and a
+// non-zero zero point, a ReLU the planner must not link through, and a
+// partial trailer that leaves one fire unlinked — the code max-pool against
+// a scalar oracle (also fanned out over an inference pool), bit-identical
+// paper-profile logits with no pool, a 1-worker and a
 // 3-worker pool, a steady-state counter proof that a planned frame
 // allocates no float activation tensor and no heap between codes-in and
 // logits-out, and the 64-image float-vs-int8 accuracy guard re-run with the
@@ -24,9 +25,10 @@
 #include "src/base/rng.h"
 #include "src/core/model.h"
 #include "src/img/resize.h"
+#include "src/nn/activation.h"
+#include "src/nn/conv.h"
 #include "src/nn/gemm.h"
 #include "src/nn/network.h"
-#include "src/nn/ops.h"
 #include "src/nn/pool.h"
 #include "src/nn/tensor.h"
 #include "src/webgen/adgen.h"
@@ -235,26 +237,6 @@ TEST(CodeTransformTest, MaxPoolCodesMatchesScalarOracle) {
   }
 }
 
-// ReluCodes clamps at the zero point, out of place and in place.
-TEST(CodeTransformTest, ReluCodesClampsAtZeroPoint) {
-  Rng rng(62);
-  std::vector<uint8_t> in(1003);
-  for (auto& v : in) {
-    v = static_cast<uint8_t>(rng.NextBelow(256));
-  }
-  for (const int32_t zp : {0, 1, 128, 255}) {
-    std::vector<uint8_t> out(in.size(), 0);
-    ReluCodes(in.data(), static_cast<int64_t>(in.size()), zp, out.data());
-    std::vector<uint8_t> in_place = in;
-    ReluCodes(in_place.data(), static_cast<int64_t>(in_place.size()), zp, in_place.data());
-    for (size_t i = 0; i < in.size(); ++i) {
-      const uint8_t expected = static_cast<uint8_t>(std::max<int32_t>(in[i], zp));
-      ASSERT_EQ(out[i], expected) << "zp " << zp << " at " << i;
-      ASSERT_EQ(in_place[i], expected) << "zp " << zp << " at " << i;
-    }
-  }
-}
-
 // ------------------------------------------------- network dataflow plan --
 
 // Captures interior activation calibrations with a couple of float
@@ -417,6 +399,106 @@ TEST(DataflowPlanTest, FoldedReluBitIdenticalWithNonZeroZeroPoint) {
     Tensor zero_float_u8 = net.ForwardQuantized(view);
     for (int64_t i = 0; i < staged_u8.size(); ++i) {
       ASSERT_EQ(staged_u8[i], zero_float_u8[i]) << "u8 entry, logit " << i << ", trial " << trial;
+    }
+  }
+}
+
+// ReLU has no code pass: it links only by folding into the emitter directly
+// before it. In conv -> maxpool -> relu -> conv -> relu -> conv the first
+// ReLU is not adjacent to an emitter, so conv_a runs unlinked (float) and
+// only conv_b -> relu -> conv_c links. Both entries still match the staged
+// walk bitwise.
+TEST(DataflowPlanTest, NonAdjacentReluEndsTheChain) {
+  const TensorShape shape{2, 12, 10, 3};
+  Rng rng(63);
+  Network net;
+  net.Add<Conv2D>(3, 8, 3, 1, 1, rng, "conv_a");
+  net.Add<MaxPool2D>(2, 2);
+  net.Add<Relu>();
+  net.Add<Conv2D>(8, 8, 1, 1, 0, rng, "conv_b");
+  net.Add<Relu>();
+  net.Add<Conv2D>(8, 4, 1, 1, 0, rng, "conv_c");
+  net.SetTrainingMode(false);
+  Calibrate(net, shape);
+  net.SetPrecision(Precision::kInt8);
+
+  const Tensor input = RandomTensor(shape, 120, 0.0f, 1.0f);
+  const Tensor staged = StagedForward(net, input);
+  const Tensor planned = net.Forward(input);
+  EXPECT_EQ(net.RequantLinkCount(), 1u) << "the planner linked through a non-adjacent ReLU";
+  ASSERT_TRUE(staged.shape() == planned.shape());
+  for (int64_t i = 0; i < staged.size(); ++i) {
+    ASSERT_EQ(staged[i], planned[i]) << "float entry, output " << i;
+  }
+
+  float lo = 0.0f;
+  float hi = 1.0f;
+  ASSERT_TRUE(net.layer(0).InputCalibration(&lo, &hi));
+  const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+  std::vector<uint8_t> codes(static_cast<size_t>(input.size()));
+  QuantizeActivations(input.data(), input.size(), quant, codes.data());
+  const QuantizedTensorView view{codes.data(), shape, quant.scale, quant.zero_point};
+  const Tensor staged_u8 = StagedForwardQuantized(net, view);
+  const Tensor planned_u8 = net.ForwardQuantized(view);
+  EXPECT_EQ(net.RequantLinkCount(), 1u);
+  for (int64_t i = 0; i < staged_u8.size(); ++i) {
+    ASSERT_EQ(staged_u8[i], planned_u8[i]) << "u8 entry, output " << i;
+  }
+}
+
+// A fire links only through its quantized squeeze hop, which needs both
+// expand ranges. A trailer that drops fire3's two expand slots leaves fire3
+// neither consuming nor emitting codes: the plan loses the link into fire3
+// and fire3's own, fire3 runs its float Forward, and both entries still
+// match the staged walk bitwise.
+TEST(DataflowPlanTest, PartialTrailerLeavesFireUnlinkedAndBitIdentical) {
+  const PercivalNetConfig config = TestProfile();
+  Network net = BuildPercivalNet(config);
+  net.SetTrainingMode(false);
+  Calibrate(net, config.InputShape());
+  std::vector<ActivationCalibration> entries = net.CollectCalibration();
+  // GAP-on-codes is not bit-identical to the staged walk (see
+  // FoldedReluBitIdenticalWithNonZeroZeroPoint), so its slot stays out of
+  // both trailers.
+  entries.back().valid = false;
+  ASSERT_TRUE(net.LoadCalibration(entries));
+  net.SetPrecision(Precision::kInt8);
+  const Tensor probe = RandomTensor(config.InputShape(), 130, 0.0f, 1.0f);
+  net.Forward(probe);
+  const size_t full_links = net.RequantLinkCount();
+  ASSERT_GE(full_links, 2u);
+
+  // Slots: conv1 (0), then squeeze / expand1x1 / expand3x3 per fire, so
+  // fire3's expands are slots 8 and 9.
+  ASSERT_GT(entries.size(), 10u);
+  ASSERT_TRUE(entries[8].valid && entries[9].valid);
+  entries[8].valid = false;
+  entries[9].valid = false;
+  ASSERT_TRUE(net.LoadCalibration(entries));
+
+  for (int trial = 0; trial < 2; ++trial) {
+    const Tensor input = RandomTensor(config.InputShape(), 131 + static_cast<uint64_t>(trial),
+                                      0.0f, 1.0f);
+    const Tensor staged = StagedForward(net, input);
+    const Tensor planned = net.Forward(input);
+    EXPECT_EQ(net.RequantLinkCount(), full_links - 2);
+    ASSERT_TRUE(staged.shape() == planned.shape());
+    for (int64_t i = 0; i < staged.size(); ++i) {
+      ASSERT_EQ(staged[i], planned[i]) << "float entry, logit " << i << ", trial " << trial;
+    }
+
+    float lo = 0.0f;
+    float hi = 1.0f;
+    ASSERT_TRUE(net.layer(0).InputCalibration(&lo, &hi));
+    const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+    std::vector<uint8_t> codes(static_cast<size_t>(input.size()));
+    QuantizeActivations(input.data(), input.size(), quant, codes.data());
+    const QuantizedTensorView view{codes.data(), input.shape(), quant.scale, quant.zero_point};
+    const Tensor staged_u8 = StagedForwardQuantized(net, view);
+    const Tensor planned_u8 = net.ForwardQuantized(view);
+    EXPECT_EQ(net.RequantLinkCount(), full_links - 2);
+    for (int64_t i = 0; i < staged_u8.size(); ++i) {
+      ASSERT_EQ(staged_u8[i], planned_u8[i]) << "u8 entry, logit " << i << ", trial " << trial;
     }
   }
 }

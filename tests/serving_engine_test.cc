@@ -1,12 +1,11 @@
-// Sans-IO serving engine + shard router coverage.
+// Sans-IO serving engine coverage.
 //
 // The engine half runs entirely on a FAKE clock with caller-owned buffers
 // and fabricated classification results — if any of these tests needed a
 // real thread, file, or wall-clock read to pass, the sans-IO contract would
 // be broken. The adapter half pins bit-identical decisions between a
-// caller-driven engine loop and AsyncAdClassifier, the near-duplicate
-// accuracy guard that gates ServingPolicy::near_dup_enabled, and per-shard
-// fault isolation in the multi-model router.
+// caller-driven engine loop and AsyncAdClassifier, and the near-duplicate
+// accuracy guard that gates ServingPolicy::near_dup_enabled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,17 +15,13 @@
 #include <string>
 #include <vector>
 
-#include "src/base/faultpoint.h"
 #include "src/base/rng.h"
 #include "src/core/classifier.h"
 #include "src/core/model.h"
-#include "src/core/model_zoo.h"
 #include "src/img/bitmap.h"
 #include "src/img/phash.h"
 #include "src/img/resize.h"
-#include "src/nn/serialize.h"
 #include "src/serve/engine.h"
-#include "src/serve/shard_router.h"
 #include "src/webgen/adgen.h"
 #include "src/webgen/contentgen.h"
 
@@ -109,23 +104,11 @@ std::vector<ClassifyResult> FakeResults(size_t n, bool is_ad, double latency_ms)
   return results;
 }
 
-ShardSpec MakeSpec(const std::string& name, ServingPolicy policy = ServingPolicy{}) {
-  ShardSpec spec;
-  spec.name = name;
-  spec.policy = policy;
-  return spec;
-}
-
-class ServingEngineTest : public ::testing::Test {
- protected:
-  void TearDown() override { faultpoint::DisarmAll(); }
-};
-
 // ---------------------------------------------------------------------------
 // Step-loop conformance: a full workload on a fake clock, caller-owned
 // buffers, fabricated results — no threads, no files, no wall clock.
 
-TEST_F(ServingEngineTest, StepLoopClassifiesFullWorkloadOnFakeClock) {
+TEST(ServingEngineTest, StepLoopClassifiesFullWorkloadOnFakeClock) {
   ServingEngine engine;
   engine.SetEmitDecisions(true);
   int64_t now = 1000 * kMs;  // arbitrary fake epoch
@@ -193,7 +176,7 @@ TEST_F(ServingEngineTest, StepLoopClassifiesFullWorkloadOnFakeClock) {
 // Drain budgets run on caller time: an expired budget requeues the tail in
 // admission order, and a drain always makes at least one batch of progress.
 
-TEST_F(ServingEngineTest, DrainBudgetRequeuesTailOnFakeClock) {
+TEST(ServingEngineTest, DrainBudgetRequeuesTailOnFakeClock) {
   ServingEngine engine;
   std::vector<Bitmap> frames;
   std::vector<uint64_t> tickets;
@@ -249,7 +232,7 @@ TEST_F(ServingEngineTest, DrainBudgetRequeuesTailOnFakeClock) {
 // over-deadline batches shed uncached frames, memo hits still answer, and
 // the frame countdown self-heals — all without a real clock.
 
-TEST_F(ServingEngineTest, DegradeLadderRunsOnFabricatedLatency) {
+TEST(ServingEngineTest, DegradeLadderRunsOnFabricatedLatency) {
   ServingPolicy policy;
   policy.classify_deadline_ms = 1.0;
   policy.degrade_after_misses = 2;
@@ -298,7 +281,7 @@ TEST_F(ServingEngineTest, DegradeLadderRunsOnFabricatedLatency) {
 // due exactly at now + backoff * 2^k, next_wake_ns() exposes the schedule,
 // and exhaustion/success resolve the reload without a sleep anywhere.
 
-TEST_F(ServingEngineTest, ReloadBackoffScheduleOnFakeClock) {
+TEST(ServingEngineTest, ReloadBackoffScheduleOnFakeClock) {
   ServingPolicy policy;
   policy.reload_max_retries = 2;
   policy.reload_backoff_ms = 10.0;
@@ -345,7 +328,7 @@ TEST_F(ServingEngineTest, ReloadBackoffScheduleOnFakeClock) {
 // L2 near-duplicate tier at the exact Hamming boundary: distance == threshold
 // hits (and promotes into L1), distance == threshold + 1 rejects.
 
-TEST_F(ServingEngineTest, NearDupHitsAndRejectsAtHammingBoundary) {
+TEST(ServingEngineTest, NearDupHitsAndRejectsAtHammingBoundary) {
   ServingPolicy policy;
   policy.near_dup_enabled = true;
   policy.near_dup_hamming = 3;
@@ -399,7 +382,7 @@ TEST_F(ServingEngineTest, NearDupHitsAndRejectsAtHammingBoundary) {
 // and AsyncAdClassifier produce bit-identical decisions and ladder counters
 // for the same frame schedule (repeats, coalescing, shedding, re-drains).
 
-TEST_F(ServingEngineTest, EngineDecisionsBitIdenticalToAsyncAdClassifier) {
+TEST(ServingEngineTest, EngineDecisionsBitIdenticalToAsyncAdClassifier) {
   PercivalNetConfig config = TestProfile();
   AdClassifier engine_inner(BuildPercivalNet(config), config);
   AdClassifier async_inner(BuildPercivalNet(config), config);
@@ -477,7 +460,7 @@ TEST_F(ServingEngineTest, EngineDecisionsBitIdenticalToAsyncAdClassifier) {
 // jitter and a resize round-trip — L2 hits must agree >= 99% with fresh
 // classification, and the tier must actually fire (>= half the suite).
 
-TEST_F(ServingEngineTest, NearDupAccuracyGuard64Images) {
+TEST(ServingEngineTest, NearDupAccuracyGuard64Images) {
   PercivalNetConfig config = TestProfile();
   AdClassifier inner(BuildPercivalNet(config), config);
   AsyncAdClassifier async(inner);
@@ -521,146 +504,6 @@ TEST_F(ServingEngineTest, NearDupAccuracyGuard64Images) {
   }
   EXPECT_GE(hits, 32);  // the tier must be doing real work on this suite
   EXPECT_GE(agreements, static_cast<int>(std::ceil(hits * 0.99)));
-}
-
-// ---------------------------------------------------------------------------
-// Shard router: consistent routing. Adding a shard only remaps tenants onto
-// the NEW shard — every tenant not claimed by it keeps its old (warm) shard.
-
-TEST_F(ServingEngineTest, ShardRouterRoutingIsConsistentAcrossShardAdds) {
-  const std::string dir = ::testing::TempDir() + "/percival_shard_routing";
-  ModelZoo zoo(dir);
-  for (const char* name : {"alpha", "beta", "gamma", "delta"}) {
-    zoo.Evict(name);
-  }
-  PercivalNetConfig config = TestProfile();
-  auto train = [](Network&) {};  // untrained deterministic init is enough here
-
-  ShardRouter three(zoo, config, {MakeSpec("alpha"), MakeSpec("beta"), MakeSpec("gamma")},
-                    train);
-  ShardRouter four(zoo, config,
-                   {MakeSpec("alpha"), MakeSpec("beta"), MakeSpec("gamma"), MakeSpec("delta")},
-                   train);
-  // Second bring-up of the first three models loads the zoo cache.
-  EXPECT_FALSE(three.StatsFor(0).model_was_cached);
-  EXPECT_TRUE(four.StatsFor(0).model_was_cached);
-  EXPECT_FALSE(four.StatsFor(3).model_was_cached);
-
-  std::vector<int> tenants_per_shard(4, 0);
-  for (int t = 0; t < 300; ++t) {
-    const std::string tenant = "tenant-" + std::to_string(t);
-    const size_t old_shard = three.ShardFor(tenant);
-    const size_t new_shard = four.ShardFor(tenant);
-    EXPECT_EQ(old_shard, three.ShardFor(tenant));  // stable across calls
-    ++tenants_per_shard[new_shard];
-    if (four.shard_name(new_shard) != "delta") {
-      // Not claimed by the new shard: must keep its old shard (warm memo).
-      EXPECT_EQ(three.shard_name(old_shard), four.shard_name(new_shard)) << tenant;
-    }
-  }
-  for (size_t shard = 0; shard < 4; ++shard) {
-    EXPECT_GT(tenants_per_shard[shard], 0) << four.shard_name(shard);
-  }
-
-  // Traffic routes, drains, and rolls up per shard.
-  for (int t = 0; t < 12; ++t) {
-    Bitmap image = MakeBitmap(t);
-    four.OnFrame("tenant-" + std::to_string(t), image.info(), image, "url");
-  }
-  four.DrainAll(nullptr, 4);
-  int64_t routed = 0;
-  for (const ShardRouter::ShardStats& stats : four.AllStats()) {
-    routed += stats.routed;
-  }
-  EXPECT_EQ(routed, 12);
-  EXPECT_EQ(four.Rollup().classified, 12);
-}
-
-// ---------------------------------------------------------------------------
-// Per-shard reload isolation: one tenant's corrupt artifact fails ONLY that
-// shard's staged-commit reload — it keeps its previous weights and every
-// other shard reloads, and serves, cleanly.
-
-TEST_F(ServingEngineTest, CorruptReloadIsIsolatedToOneShard) {
-  const std::string dir = ::testing::TempDir() + "/percival_shard_reload";
-  ModelZoo zoo(dir);
-  for (const char* name : {"en", "de", "fr"}) {
-    zoo.Evict(name);
-  }
-  PercivalNetConfig config = TestProfile();
-  auto train = [](Network&) {};
-  ShardRouter router(zoo, config, {MakeSpec("en"), MakeSpec("de"), MakeSpec("fr")}, train);
-
-  // A shared weight update, trained elsewhere (different init seed, so its
-  // decisions measurably differ from the shards' bring-up weights).
-  PercivalNetConfig donor_config = TestProfile();
-  donor_config.init_seed = 99;
-  Network donor = BuildPercivalNet(donor_config);
-  const std::string artifact = dir + "/shared_update.pcvw";
-  ASSERT_TRUE(SaveWeightsToFile(donor, artifact));
-  AdClassifier donor_reference(BuildPercivalNet(donor_config), donor_config);
-
-  Bitmap probe = MakeBitmap(4242);
-  const float before = router.classifier(1).Classify(probe).ad_probability;
-  const float donor_p = donor_reference.Classify(probe).ad_probability;
-  ASSERT_GT(std::fabs(before - donor_p), 1e-6f);
-
-  // Shard 1 reloads while every artifact read is fault-corrupted; the other
-  // shards reload after the fault clears.
-  faultpoint::Arm(faultpoint::kArtifactCorrupt);
-  EXPECT_FALSE(router.ReloadShard(1, artifact));
-  faultpoint::DisarmAll();
-  EXPECT_TRUE(router.ReloadShard(0, artifact));
-  EXPECT_TRUE(router.ReloadShard(2, artifact));
-
-  // Staged commit: shard 1 still serves its previous weights; shards 0 and
-  // 2 serve the donor weights.
-  EXPECT_FLOAT_EQ(router.classifier(1).Classify(probe).ad_probability, before);
-  EXPECT_FLOAT_EQ(router.classifier(0).Classify(probe).ad_probability, donor_p);
-  EXPECT_FLOAT_EQ(router.classifier(2).Classify(probe).ad_probability, donor_p);
-  EXPECT_EQ(router.StatsFor(1).reloads_failed, 1);
-  EXPECT_EQ(router.StatsFor(1).reloads_ok, 0);
-  EXPECT_EQ(router.StatsFor(0).reloads_ok, 1);
-  EXPECT_EQ(router.StatsFor(2).reloads_ok, 1);
-  // The failed reload burned its retry schedule; the clean ones did not.
-  EXPECT_GT(router.StatsFor(1).classifier.reload_retries, 0);
-  EXPECT_EQ(router.StatsFor(0).classifier.reload_retries, 0);
-
-  // Every shard — including the one whose reload failed — still serves.
-  const int64_t classified_before = router.Rollup().classified;
-  for (int t = 0; t < 9; ++t) {
-    Bitmap image = MakeBitmap(1000 + t);
-    EXPECT_FALSE(router.OnFrame("tenant-" + std::to_string(t), image.info(), image, "url"));
-  }
-  router.DrainAll(nullptr, 4);
-  EXPECT_EQ(router.Rollup().classified, classified_before + 9);
-}
-
-// The shard-local reload fault point fails exactly the reload it is armed
-// for, before any file IO.
-
-TEST_F(ServingEngineTest, ShardReloadFaultPointIsShardLocal) {
-  const std::string dir = ::testing::TempDir() + "/percival_shard_fault";
-  ModelZoo zoo(dir);
-  zoo.Evict("p");
-  zoo.Evict("q");
-  PercivalNetConfig config = TestProfile();
-  auto train = [](Network&) {};
-  ShardRouter router(zoo, config, {MakeSpec("p"), MakeSpec("q")}, train);
-
-  Network donor = BuildPercivalNet(config);
-  const std::string artifact = dir + "/update.pcvw";
-  ASSERT_TRUE(SaveWeightsToFile(donor, artifact));
-
-  faultpoint::FaultSpec once;
-  once.count = 1;
-  faultpoint::Arm(faultpoint::kShardReloadFail, once);
-  EXPECT_FALSE(router.ReloadShard(0, artifact));  // consumed the one firing
-  EXPECT_TRUE(router.ReloadShard(1, artifact));
-  EXPECT_EQ(router.StatsFor(0).reloads_failed, 1);
-  EXPECT_EQ(router.StatsFor(1).reloads_ok, 1);
-  // No artifact read happened for the failed reload: no retry schedule ran.
-  EXPECT_EQ(router.StatsFor(0).classifier.reload_retries, 0);
 }
 
 }  // namespace
